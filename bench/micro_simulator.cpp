@@ -186,14 +186,18 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  // The acceptance workload: a 16-qubit depth-64 random circuit, engine
-  // (specialized kernels + fusion + threading) vs the generic dense path.
+  // The acceptance workload: a 16-qubit depth-64 random circuit, the
+  // scalar engine (specialized kernels + fusion + threading on the
+  // interleaved layout) vs the generic dense path. SIMD is switched off
+  // explicitly: this is also the baseline the SIMD gate below compares with.
   constexpr int kWidth = 16;
   constexpr int kDepth = 64;
   const circuit::Circuit c = random_for(kWidth, kDepth, 1);
 
+  sim::EngineOptions scalar_engine;
+  scalar_engine.simd = false;
   const sim::CompiledCircuit generic = sim::compile_circuit(c, sim::EngineOptions::generic());
-  const sim::CompiledCircuit engine = sim::compile_circuit(c, sim::EngineOptions{});
+  const sim::CompiledCircuit engine = sim::compile_circuit(c, scalar_engine);
 
   constexpr int kRepeats = 5;
   const double generic_seconds = median_seconds(kRepeats, [&] {
@@ -217,7 +221,7 @@ int main(int argc, char** argv) {
   // Specialized, no fusion (single gates), no threading: pure per-kernel
   // cost, comparable across runners and to the dense references below
   // (the headline gate above already captures threading).
-  sim::EngineOptions kernel_options;
+  sim::EngineOptions kernel_options = scalar_engine;
   kernel_options.fuse = false;
   kernel_options.threading_threshold_qubits = 27;
   const double diagonal_s = time_kernel(one_gate(circuit::GateKind::RZ, {8}, {0.7}),
@@ -248,8 +252,7 @@ int main(int argc, char** argv) {
   const bool simd_available = sim::simd::best_isa() != sim::IsaLevel::Scalar;
   const std::string isa = sim::isa_level_name(simd_available ? sim::simd::best_isa()
                                                              : sim::IsaLevel::Scalar);
-  sim::EngineOptions simd_options;
-  simd_options.simd = true;
+  const sim::EngineOptions simd_options{};  // simd on: the default
   sim::EngineOptions simd_kernel_options = simd_options;
   simd_kernel_options.fuse = false;
   simd_kernel_options.threading_threshold_qubits = 27;

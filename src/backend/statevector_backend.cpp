@@ -20,11 +20,10 @@ StatevectorBackend::StatevectorBackend(std::uint64_t seed, sim::EngineOptions en
 
 std::string StatevectorBackend::identity() const {
   // The construction seed drives every sampled Counts; the device token
-  // carries the result-affecting engine configuration (fusion flags, the
-  // dispatched SIMD ISA) — both must separate cache namespaces (the
-  // Backend::identity() contract). Two scalar-vs-SIMD backends therefore
-  // never share a fragment-cache entry, while two equal-flag SIMD backends
-  // do.
+  // carries the result-affecting engine configuration (fusion flags) —
+  // both must separate cache namespaces (the Backend::identity() contract).
+  // SIMD is bit-neutral and absent, so a scalar and a SIMD backend with
+  // equal seeds and fusion flags share fragment-cache entries.
   return name() + "(seed=" + std::to_string(base_rng_.seed()) + ")" +
          device_->identity_token();
 }
@@ -119,18 +118,6 @@ BatchResult StatevectorBackend::run_batch(const BatchRequest& request) {
     }
   }
 
-  sim::ProgramOptions popts;
-  if (!request.sim_engine && device_->caps().isa == sim::IsaLevel::Scalar) {
-    // Per-request opt-out of the bit-for-bit-neutral engine features only:
-    // fusion affects results and stays fixed at construction (identity()).
-    // When the SIMD path is active the opt-out is ignored outright — the
-    // scalar reference kernels it selects would not be bit-for-bit with the
-    // device's FMA-contracted results, and sim_engine must never affect
-    // results (see backend.hpp).
-    popts.specialize = false;
-    popts.threaded = false;
-  }
-
   const auto run_unit = [&](std::size_t u) {
     TELEMETRY_SPAN("backend.unit");
     const BatchUnit& unit = units[u];
@@ -144,7 +131,7 @@ BatchResult StatevectorBackend::run_batch(const BatchRequest& request) {
     // a standalone full-circuit compile emits (the GateFusion stream
     // property).
     const std::unique_ptr<sim::CompiledProgram> prefix_program =
-        device_->compile_prefix(rep, unit.prefix_ops, popts);
+        device_->compile_prefix(rep, unit.prefix_ops);
     const std::unique_ptr<sim::DeviceState> base = device_->create_state(width);
     device_->apply(*prefix_program, *base);
 

@@ -10,14 +10,13 @@
 // callers.
 //
 // Identity-bearing vs bit-neutral knobs (the Backend::identity() contract):
-//   * Identity-bearing — the sampling seed, gate fusion (EngineOptions::
-//     fuse + every FusionOptions flag), and the SIMD path's dispatched ISA
-//     (EngineOptions::simd): each changes sampled counts or probabilities
-//     by floating-point rounding, so each separates cache namespaces.
-//   * Bit-neutral — kernel specialization, threading (threshold, grain,
-//     pool), and cache blocking: results are bit-for-bit identical at any
-//     setting, so they never appear in identity() and caches cannot
-//     observe them.
+//   * Identity-bearing — the sampling seed and gate fusion (EngineOptions::
+//     fuse + every FusionOptions flag): each changes sampled counts or
+//     probabilities, so each separates cache namespaces.
+//   * Bit-neutral — kernel specialization, SIMD dispatch (EngineOptions::
+//     simd and the ISA it picks), threading (threshold, grain, pool), and
+//     cache blocking: results are bit-for-bit identical at any setting, so
+//     they never appear in identity() and caches cannot observe them.
 
 #include <memory>
 #include <mutex>
@@ -36,9 +35,9 @@ class StatevectorBackend : public Backend {
   [[nodiscard]] std::string name() const override { return "statevector"; }
 
   /// name() plus every result-affecting construction parameter: the
-  /// sampling seed and the device's identity token (gate-fusion flags and
-  /// the dispatched SIMD ISA). Backends whose identity() strings are equal
-  /// return bit-for-bit equal results.
+  /// sampling seed and the device's identity token (gate-fusion flags).
+  /// Backends whose identity() strings are equal return bit-for-bit equal
+  /// results.
   [[nodiscard]] std::string identity() const override;
 
   [[nodiscard]] const sim::EngineOptions& engine_options() const noexcept { return engine_; }

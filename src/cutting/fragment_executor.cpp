@@ -130,7 +130,6 @@ FragmentData execute_impl(const Bipartition& bp, const NeglectSpec& spec,
     backend::BatchRequest batch;
     batch.exact = options.exact;
     batch.pool = &pool;
-    batch.sim_engine = options.sim_engine;
     batch.jobs.reserve(num_variants);
     for (std::size_t v = 0; v < settings.size(); ++v) {
       UpstreamVariant variant = make_upstream_variant(bp, settings[v]);
@@ -247,7 +246,6 @@ ChainFragmentData execute_chain_impl(const FragmentGraph& graph, const ChainNegl
     backend::BatchRequest batch;
     batch.exact = options.exact;
     batch.pool = &pool;
-    batch.sim_engine = options.sim_engine;
     batch.jobs.reserve(work.size());
     for (std::size_t v = 0; v < work.size(); ++v) {
       const WorkItem& item = work[v];

@@ -62,13 +62,6 @@ struct ExecutionOptions {
   /// bit-for-bit identical either way (the run_batch determinism contract);
   /// disable only to time or test the per-variant reference path.
   bool prefix_batching = true;
-
-  /// Allow the backend's specialized gate-kernel engine on batched
-  /// executions (BatchRequest::sim_engine). Bit-for-bit neutral — the
-  /// engine's specialized kernels and threading match the generic path
-  /// exactly — so this is a timing/testing knob only; result-affecting
-  /// engine state (gate fusion) is backend-construction state.
-  bool sim_engine = true;
 };
 
 /// The measured fragment data the Reconstructor consumes.

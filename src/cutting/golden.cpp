@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "common/error.hpp"
 #include "linalg/ops.hpp"
 #include "metrics/stats.hpp"
-#include "sim/statevector.hpp"
+#include "sim/device.hpp"
 
 namespace qcut::cutting {
 
@@ -125,10 +127,25 @@ const std::vector<linalg::CMat>& context_projectors() {
   return projectors;
 }
 
-/// tr(rho * op) for small dense matrices.
-linalg::cx trace_product(const linalg::CMat& rho, const linalg::CMat& op) {
-  return linalg::trace_of_product(rho, op);
+/// The upstream simulator: the CPU engine with fusion off. Its amplitudes
+/// equal StateVector::apply_circuit's value for value (specialized kernels
+/// only drop terms multiplied by an exact 0 or 1, and every SIMD tier
+/// rounds like the scalar kernels), so only the sign of a zero can differ,
+/// which no |tr(...)| below can observe. Devices are immutable, so one is
+/// shared by every caller.
+const sim::Device& upstream_device() {
+  static const std::unique_ptr<sim::Device> device = [] {
+    sim::EngineOptions engine;
+    engine.fuse = false;
+    return sim::make_cpu_device(engine);
+  }();
+  return *device;
 }
+
+/// The nonzero entries of one kron'd (Pauli, context) operator, listed in
+/// linalg::trace_of_product's (i, k) summation order as (conditional
+/// index, value): entry (i, k) multiplies conditional(i, k) by op(k, i).
+using SparseOperator = std::vector<std::pair<index_t, linalg::cx>>;
 
 }  // namespace
 
@@ -138,40 +155,28 @@ GoldenDetectionReport detect_golden_exact(const Bipartition& bp, double tol) {
   const std::vector<int> cut_qubits = bp.f1_cut_qubits();
   const std::vector<int>& out_qubits = bp.f1_output_qubits;
 
-  sim::StateVector psi(n1);
-  psi.apply_circuit(bp.f1);
-  const linalg::CVec& amps = psi.amplitudes();
+  const sim::Device& device = upstream_device();
+  const std::unique_ptr<sim::DeviceState> state = device.create_state(n1);
+  device.apply(*device.compile(bp.f1), *state);
+  const linalg::CVec amps = device.amplitudes(*state);
 
-  // Conditional (unnormalized) cut-qubit density matrices per upstream
-  // output bitstring b1.
   const index_t out_dim = pow2(static_cast<int>(out_qubits.size()));
   const index_t cut_dim = pow2(num_cuts);
-  std::vector<linalg::CMat> conditional(out_dim, linalg::CMat(cut_dim, cut_dim));
-  for (index_t b1 = 0; b1 < out_dim; ++b1) {
-    const index_t base = scatter_bits(b1, out_qubits);
-    for (index_t c = 0; c < cut_dim; ++c) {
-      const index_t ic = base | scatter_bits(c, cut_qubits);
-      for (index_t cp = 0; cp < cut_dim; ++cp) {
-        const index_t icp = base | scatter_bits(cp, cut_qubits);
-        conditional[b1](c, cp) = amps[ic] * std::conj(amps[icp]);
-      }
-    }
-  }
-
-  GoldenDetectionReport report;
-  report.violation.assign(static_cast<std::size_t>(num_cuts), {0.0, 0.0, 0.0, 0.0});
-  report.golden.assign(static_cast<std::size_t>(num_cuts), {false, false, false, false});
 
   // Context combinations: each other cut takes one of the six projectors.
   std::uint64_t num_contexts = 1;
   for (int j = 0; j + 1 < num_cuts; ++j) num_contexts *= kNumPrepStates;
 
+  // Every (cut k, Pauli p, context) operator, kron'd once with slot 0 as the
+  // least significant index bit: cut k carries the Pauli, the other cuts
+  // the context's projectors. Zero entries are dropped: adding an exact
+  // zero term cannot change the value of tr(conditional * op).
+  std::vector<SparseOperator> ops;
+  ops.reserve(static_cast<std::size_t>(num_cuts) * 4 * num_contexts);
   std::vector<linalg::CMat> slot(static_cast<std::size_t>(num_cuts));
   for (int k = 0; k < num_cuts; ++k) {
     for (Pauli p : linalg::kAllPaulis) {
-      double violation = 0.0;
       for (std::uint64_t ctx = 0; ctx < num_contexts; ++ctx) {
-        // Fill the slots: cut k carries the Pauli, the others projectors.
         std::uint64_t rest = ctx;
         for (int j = 0; j < num_cuts; ++j) {
           if (j == k) {
@@ -182,18 +187,59 @@ GoldenDetectionReport detect_golden_exact(const Bipartition& bp, double tol) {
             rest /= kNumPrepStates;
           }
         }
-        // kron with slot 0 as the least significant index bit.
         linalg::CMat op = slot[static_cast<std::size_t>(num_cuts - 1)];
         for (int j = num_cuts - 2; j >= 0; --j) {
           op = linalg::kron(op, slot[static_cast<std::size_t>(j)]);
         }
-        for (index_t b1 = 0; b1 < out_dim; ++b1) {
-          violation = std::max(violation, std::abs(trace_product(conditional[b1], op)));
+        SparseOperator& sparse = ops.emplace_back();
+        for (index_t i = 0; i < cut_dim; ++i) {
+          for (index_t c = 0; c < cut_dim; ++c) {
+            if (op(c, i) != linalg::cx{0.0, 0.0}) sparse.emplace_back(i * cut_dim + c, op(c, i));
+          }
         }
       }
-      report.violation[static_cast<std::size_t>(k)][static_cast<std::size_t>(p)] = violation;
+    }
+  }
+
+  GoldenDetectionReport report;
+  report.violation.assign(static_cast<std::size_t>(num_cuts), {0.0, 0.0, 0.0, 0.0});
+  report.golden.assign(static_cast<std::size_t>(num_cuts), {false, false, false, false});
+
+  // One pass over the upstream output bitstrings b1: the cut amplitudes
+  // conditioned on b1 give the (unnormalized) cut-qubit density matrix
+  // conditional(c, c') = a[c] * conj(a[c']), and every operator's
+  // |tr(conditional * op)| updates its (cut, Pauli) maximum. The max is
+  // order-independent, so the violations equal a per-(cut, Pauli) scan.
+  std::vector<index_t> cut_offsets(cut_dim);
+  for (index_t c = 0; c < cut_dim; ++c) cut_offsets[c] = scatter_bits(c, cut_qubits);
+  std::vector<linalg::cx> cut_amps(cut_dim);
+  std::vector<linalg::cx> conditional(cut_dim * cut_dim);
+  for (index_t b1 = 0; b1 < out_dim; ++b1) {
+    const index_t base = scatter_bits(b1, out_qubits);
+    for (index_t c = 0; c < cut_dim; ++c) cut_amps[c] = amps[base | cut_offsets[c]];
+    for (index_t c = 0; c < cut_dim; ++c) {
+      for (index_t cp = 0; cp < cut_dim; ++cp) {
+        conditional[c * cut_dim + cp] = cut_amps[c] * std::conj(cut_amps[cp]);
+      }
+    }
+    std::size_t o = 0;
+    for (int k = 0; k < num_cuts; ++k) {
+      for (Pauli p : linalg::kAllPaulis) {
+        double& violation =
+            report.violation[static_cast<std::size_t>(k)][static_cast<std::size_t>(p)];
+        for (std::uint64_t ctx = 0; ctx < num_contexts; ++ctx, ++o) {
+          linalg::cx trace{0.0, 0.0};
+          for (const auto& [index, value] : ops[o]) trace += conditional[index] * value;
+          violation = std::max(violation, std::abs(trace));
+        }
+      }
+    }
+  }
+  for (int k = 0; k < num_cuts; ++k) {
+    for (Pauli p : linalg::kAllPaulis) {
       report.golden[static_cast<std::size_t>(k)][static_cast<std::size_t>(p)] =
-          p != Pauli::I && violation <= tol;
+          p != Pauli::I &&
+          report.violation[static_cast<std::size_t>(k)][static_cast<std::size_t>(p)] <= tol;
     }
   }
   return report;

@@ -16,17 +16,32 @@ namespace {
 /// from the pool), each chunk accumulates its terms in ascending order into
 /// its own slot, and the slots are summed in chunk order — so the result is
 /// bit-for-bit independent of thread count and scheduling (the service and
-/// direct paths agree even on differently sized pools).
+/// direct paths agree even on differently sized pools). A null `pool` runs
+/// the same chunks inline, folding each slot into the result as soon as it
+/// is complete: every output element still sums its slots in ascending
+/// order, from one reused slot buffer.
 template <typename AddTerm>
-std::vector<double> accumulate_terms(parallel::ThreadPool& pool, std::uint64_t num_terms,
+std::vector<double> accumulate_terms(parallel::ThreadPool* pool, std::uint64_t num_terms,
                                      index_t full_dim, const AddTerm& add_term) {
   constexpr std::uint64_t kMaxSlots = 64;  // bounds slot memory at 64 * 2^n doubles
   if (num_terms == 0) return std::vector<double>(full_dim, 0.0);
   const std::uint64_t chunk = (num_terms + kMaxSlots - 1) / kMaxSlots;
   const std::uint64_t num_slots = (num_terms + chunk - 1) / chunk;
 
+  if (pool == nullptr) {
+    std::vector<double> joint(full_dim, 0.0);
+    std::vector<double> local;
+    for (std::uint64_t s = 0; s < num_slots; ++s) {
+      local.assign(full_dim, 0.0);
+      const std::uint64_t hi = std::min<std::uint64_t>(num_terms, (s + 1) * chunk);
+      for (std::uint64_t t = s * chunk; t < hi; ++t) add_term(t, local);
+      for (index_t i = 0; i < full_dim; ++i) joint[i] += local[i];
+    }
+    return joint;
+  }
+
   std::vector<std::vector<double>> slots(num_slots);
-  parallel::parallel_for(pool, 0, num_slots, [&](std::size_t s) {
+  parallel::parallel_for(*pool, 0, num_slots, [&](std::size_t s) {
     std::vector<double>& local = slots[s];
     local.assign(full_dim, 0.0);
     const std::uint64_t lo = static_cast<std::uint64_t>(s) * chunk;
@@ -40,7 +55,7 @@ std::vector<double> accumulate_terms(parallel::ThreadPool& pool, std::uint64_t n
   std::vector<double> joint(full_dim, 0.0);
   constexpr index_t kStripes = 64;
   const index_t stripe = (full_dim + kStripes - 1) / kStripes;
-  parallel::parallel_for(pool, 0, static_cast<std::size_t>((full_dim + stripe - 1) / stripe),
+  parallel::parallel_for(*pool, 0, static_cast<std::size_t>((full_dim + stripe - 1) / stripe),
                          [&](std::size_t b) {
                            const index_t lo = static_cast<index_t>(b) * stripe;
                            const index_t hi = std::min(full_dim, lo + stripe);
@@ -165,7 +180,7 @@ ReconstructionResult reconstruct_distribution(const Bipartition& bp, const Fragm
   });
 
   std::vector<double> joint = accumulate_terms(
-      pool, strings.size(), full_dim, [&](std::uint64_t t, std::vector<double>& local) {
+      &pool, strings.size(), full_dim, [&](std::uint64_t t, std::vector<double>& local) {
         const std::vector<double>& u_t = u[t];
         const std::vector<double>& v_t = v[t];
         for (index_t b1 = 0; b1 < layout.out_dim; ++b1) {
@@ -250,10 +265,34 @@ struct ChainLayout {
   std::vector<index_t> cut_dims;   // 2^{K_b} per boundary
   index_t total_cut_dim = 1;
 
+  // Per-fragment bit tables, built once instead of per element: for every
+  // fragment-local outcome o, its outgoing tomography bits and its final
+  // bits (gathered); for every final-bit tuple x, its original-qubit
+  // offset (scattered). 32-bit entries (fragments and the original circuit
+  // are at most 26 qubits wide) keep both per-outcome tables together the
+  // size of one fragment distribution.
+  std::vector<std::vector<std::uint32_t>> out_cut_bits;    // [f][o]
+  std::vector<std::vector<std::uint32_t>> final_bits;      // [f][o]
+  std::vector<std::vector<std::uint32_t>> final_original;  // [f][x]
+
   explicit ChainLayout(const FragmentGraph& g) : graph(g) {
+    QCUT_CHECK(g.num_original_qubits <= 32, "reconstruct: circuit too wide for 32-bit indices");
     for (const ChainFragment& fragment : g.fragments) {
       full_dims.push_back(pow2(fragment.width()));
       out_dims.push_back(pow2(fragment.output_width()));
+      std::vector<std::uint32_t> cut_bits(full_dims.back());
+      std::vector<std::uint32_t> bits(full_dims.back());
+      for (index_t o = 0; o < full_dims.back(); ++o) {
+        cut_bits[o] = static_cast<std::uint32_t>(gather_bits(o, fragment.out_cut_qubits));
+        bits[o] = static_cast<std::uint32_t>(gather_bits(o, fragment.output_qubits));
+      }
+      std::vector<std::uint32_t> original(out_dims.back());
+      for (index_t x = 0; x < out_dims.back(); ++x) {
+        original[x] = static_cast<std::uint32_t>(scatter_bits(x, fragment.output_original));
+      }
+      out_cut_bits.push_back(std::move(cut_bits));
+      final_bits.push_back(std::move(bits));
+      final_original.push_back(std::move(original));
     }
     for (const ChainBoundary& boundary : g.boundaries) {
       cut_dims.push_back(pow2(boundary.num_cuts()));
@@ -285,9 +324,10 @@ struct ChainLayout {
       int f, const ChainFragmentData& data, const std::vector<std::uint32_t>* prep_for_slot,
       const std::vector<double>* w_in, std::uint32_t setting,
       const std::vector<double>* w_out) const {
-    const ChainFragment& fragment = graph.fragments[static_cast<std::size_t>(f)];
     const index_t in_dim =
         prep_for_slot != nullptr ? cut_dims[static_cast<std::size_t>(f - 1)] : 1;
+    const std::vector<std::uint32_t>& a_out_of = out_cut_bits[static_cast<std::size_t>(f)];
+    const std::vector<std::uint32_t>& b_of = final_bits[static_cast<std::size_t>(f)];
 
     std::vector<double> tensor(out_dims[static_cast<std::size_t>(f)], 0.0);
     for (index_t a_in = 0; a_in < in_dim; ++a_in) {
@@ -299,10 +339,8 @@ struct ChainLayout {
       for (index_t o = 0; o < full_dims[static_cast<std::size_t>(f)]; ++o) {
         const double p = probs[o];
         if (p == 0.0) continue;
-        const index_t a_out = gather_bits(o, fragment.out_cut_qubits);
-        const index_t b = gather_bits(o, fragment.output_qubits);
-        const double out_weight = w_out != nullptr ? (*w_out)[a_out] : 1.0;
-        tensor[b] += (in_weight * out_weight) * p;
+        const double out_weight = w_out != nullptr ? (*w_out)[a_out_of[o]] : 1.0;
+        tensor[b_of[o]] += (in_weight * out_weight) * p;
       }
     }
     return tensor;
@@ -332,12 +370,12 @@ void accumulate_term(const ChainLayout& layout,
     return;
   }
   const std::vector<double>& tensor = *tensors[static_cast<std::size_t>(f)];
-  const ChainFragment& fragment = layout.graph.fragments[static_cast<std::size_t>(f)];
+  const std::vector<std::uint32_t>& original =
+      layout.final_original[static_cast<std::size_t>(f)];
   for (index_t x = 0; x < tensor.size(); ++x) {
     const double value = tensor[x];
     if (value == 0.0) continue;
-    accumulate_term(layout, tensors, f + 1, acc * value,
-                    idx | scatter_bits(x, fragment.output_original), local);
+    accumulate_term(layout, tensors, f + 1, acc * value, idx | original[x], local);
   }
 }
 
@@ -365,6 +403,22 @@ struct ChainTermEngine {
     return boundaries[static_cast<std::size_t>(b)].strings.size();
   }
 
+  /// Multiply-adds the contraction performs: every term touches every
+  /// outcome at most once, and each fragment tensor reads its fragment's
+  /// distributions once per incoming eigenstate slot.
+  [[nodiscard]] std::uint64_t work(const ChainLayout& layout) const {
+    const int num_fragments = layout.graph.num_fragments();
+    const int num_boundaries = layout.graph.num_boundaries();
+    std::uint64_t total = total_terms << layout.graph.num_original_qubits;
+    for (int f = 0; f < num_fragments; ++f) {
+      const std::uint64_t in_count = f > 0 ? num_strings(f - 1) : 1;
+      const std::uint64_t out_count = f < num_boundaries ? num_strings(f) : 1;
+      const std::uint64_t in_dim = f > 0 ? layout.cut_dims[static_cast<std::size_t>(f - 1)] : 1;
+      total += in_count * out_count * in_dim * layout.full_dims[static_cast<std::size_t>(f)];
+    }
+    return total;
+  }
+
   /// Mixed-radix decode of a term index (boundary 0 fastest) into
   /// per-boundary string indices — the same enumeration order the previous
   /// per-term implementation used.
@@ -388,11 +442,8 @@ struct ChainTermEngine {
   }
 };
 
-/// Builds the engine; tensor construction fans out over `pool` when given
-/// (disjoint slots, deterministic), otherwise runs serially.
-ChainTermEngine build_term_engine(const ChainLayout& layout, const ChainFragmentData& data,
-                                  const ChainNeglectSpec& spec, parallel::ThreadPool* pool) {
-  const FragmentGraph& graph = layout.graph;
+/// Builds the engine's per-boundary tables (no tensors yet).
+ChainTermEngine build_term_tables(const ChainLayout& layout, const ChainNeglectSpec& spec) {
   ChainTermEngine engine;
 
   for (int b = 0; b < spec.num_boundaries(); ++b) {
@@ -415,7 +466,14 @@ ChainTermEngine build_term_engine(const ChainLayout& layout, const ChainFragment
     engine.total_terms *= tables.strings.size();
     engine.boundaries.push_back(std::move(tables));
   }
+  return engine;
+}
 
+/// Builds every fragment tensor of `engine`; construction fans out over
+/// `pool` when given (disjoint slots, deterministic), otherwise runs inline.
+void build_tensors(const ChainLayout& layout, const ChainFragmentData& data,
+                   ChainTermEngine& engine, parallel::ThreadPool* pool) {
+  const FragmentGraph& graph = layout.graph;
   // Flatten the (fragment, in string, out string) tensor jobs.
   struct TensorJob {
     int fragment;
@@ -455,7 +513,6 @@ ChainTermEngine build_term_engine(const ChainLayout& layout, const ChainFragment
   } else {
     for (std::size_t j = 0; j < jobs.size(); ++j) build_one(j);
   }
-  return engine;
 }
 
 }  // namespace
@@ -473,10 +530,14 @@ ReconstructionResult reconstruct_distribution(const FragmentGraph& graph,
   const int num_fragments = graph.num_fragments();
   const int num_boundaries = graph.num_boundaries();
 
-  parallel::ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : parallel::ThreadPool::global();
-
-  const ChainTermEngine engine = build_term_engine(layout, data, spec, &pool);
+  // Small contractions run inline: below the work threshold, pool fan-out
+  // costs more CPU than it saves wall time. Neutral to the result either way.
+  ChainTermEngine engine = build_term_tables(layout, spec);
+  parallel::ThreadPool* pool = nullptr;
+  if (engine.work(layout) >= kMinParallelReconstructionWork) {
+    pool = options.pool != nullptr ? options.pool : &parallel::ThreadPool::global();
+  }
+  build_tensors(layout, data, engine, pool);
 
   std::vector<double> joint = accumulate_terms(
       pool, engine.total_terms, full_dim, [&](std::uint64_t t, std::vector<double>& local) {
@@ -507,7 +568,8 @@ double reconstruct_probability_of(const FragmentGraph& graph, const ChainFragmen
   const double coefficient = 1.0 / static_cast<double>(layout.total_cut_dim);
   const int num_fragments = graph.num_fragments();
   const int num_boundaries = graph.num_boundaries();
-  const ChainTermEngine engine = build_term_engine(layout, data, spec, nullptr);
+  ChainTermEngine engine = build_term_tables(layout, spec);
+  build_tensors(layout, data, engine, nullptr);
 
   // Original outcome -> per-fragment final-bit pieces.
   std::vector<index_t> piece(static_cast<std::size_t>(num_fragments), 0);
@@ -532,6 +594,14 @@ double reconstruct_probability_of(const FragmentGraph& graph, const ChainFragmen
     total += acc;
   }
   return total;
+}
+
+std::uint64_t chain_reconstruction_work(const FragmentGraph& graph,
+                                        const ChainNeglectSpec& spec) {
+  QCUT_CHECK(spec.num_boundaries() == graph.num_boundaries(),
+             "chain_reconstruction_work: spec boundary count must match the graph");
+  const ChainLayout layout(graph);
+  return build_term_tables(layout, spec).work(layout);
 }
 
 double reconstruct_diagonal_expectation(const FragmentGraph& graph,

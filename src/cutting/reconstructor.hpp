@@ -18,7 +18,8 @@
 namespace qcut::cutting {
 
 struct ReconstructionOptions {
-  /// Pool used to parallelize over basis strings; nullptr selects the
+  /// Pool used to parallelize over basis strings (chain contractions only
+  /// when they reach kMinParallelReconstructionWork); nullptr selects the
   /// global pool.
   parallel::ThreadPool* pool = nullptr;
 };
@@ -70,6 +71,20 @@ struct ReconstructionResult {
 // string at any boundary are skipped, so the paper's 4^K -> 4^Kr 3^Kg
 // saving multiplies across boundaries. At N=2 the arithmetic is the
 // u_M (x) v_M outer product above, operation for operation.
+
+/// Chain reconstruction fans out over the pool only when its work estimate
+/// (chain_reconstruction_work) reaches this many multiply-adds — a few
+/// hundred microseconds of one core. Below it, fragment tensors and terms run inline
+/// on the calling thread, where pool dispatch would cost more CPU than it
+/// saves wall time. The term chunking depends on the term count alone, so
+/// results are bit-for-bit equal on both sides of the threshold.
+inline constexpr std::uint64_t kMinParallelReconstructionWork = std::uint64_t{1} << 18;
+
+/// The chain contraction's work estimate: outcomes x active terms, plus one
+/// pass over each fragment distribution per fragment tensor and incoming
+/// eigenstate slot.
+[[nodiscard]] std::uint64_t chain_reconstruction_work(const FragmentGraph& graph,
+                                                      const ChainNeglectSpec& spec);
 
 /// Contracts chain fragment data into the distribution of the uncut
 /// circuit. The data must contain every variant the active terms need.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 
 #include "common/error.hpp"
 
@@ -114,7 +115,18 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
       for (std::size_t i = lo; i < hi; ++i) fn(i);
     }));
   }
-  for (auto& f : futures) f.get();
+  // Every chunk must finish before this frame unwinds: the tasks reference
+  // `fn` and whatever it captures, so rethrowing at the first failed chunk
+  // would leave the others running on a destroyed stack.
+  std::exception_ptr first_error;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace qcut::parallel

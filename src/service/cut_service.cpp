@@ -31,7 +31,6 @@ CutService::CutService(backend::Backend& backend, CutServiceOptions options)
       backend_identity_(options.backend_identity.empty() ? backend.identity()
                                                          : std::move(options.backend_identity)),
       prefix_batching_(options.prefix_batching),
-      sim_engine_(options.sim_engine),
       metrics_(options.metrics != nullptr ? *options.metrics
                                           : telemetry::MetricsRegistry::global()),
       cache_(options.cache_capacity, &metrics_, options.cache_max_bytes),
@@ -635,7 +634,6 @@ void CutService::launch_variant_groups(const JobPtr& job,
     auto task = std::make_shared<GroupTask>();
     task->owner = job;
     task->batch.exact = exact;
-    task->batch.sim_engine = sim_engine_;
     // No intra-task pool: the task itself runs on a pool worker, and a
     // nested parallel wait could deadlock a saturated pool. Parallelism
     // comes from running many group tasks concurrently.

@@ -86,12 +86,6 @@ struct CutServiceOptions {
   /// time the per-variant reference path.
   bool prefix_batching = true;
 
-  /// Allow the backend's specialized gate-kernel engine on the service's
-  /// batched executions (BatchRequest::sim_engine). Bit-for-bit neutral,
-  /// so it never enters the cache key; gate fusion — the result-affecting
-  /// engine knob — is backend state and arrives via backend_identity.
-  bool sim_engine = true;
-
   /// Registry the service's instruments (job counters, scheduler, cache)
   /// register on; nullptr selects the global registry. Pass a private
   /// registry to isolate one service's metrics from the rest of the
@@ -256,7 +250,6 @@ class CutService {
   parallel::ThreadPool& pool_;
   std::string backend_identity_;
   const bool prefix_batching_;
-  const bool sim_engine_;
   telemetry::MetricsRegistry& metrics_;  // before cache_/scheduler_: they register on it
   FragmentResultCache cache_;
   VariantScheduler scheduler_;

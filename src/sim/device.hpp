@@ -16,11 +16,12 @@
 //   device->probabilities(*state, probs);
 //
 // Determinism contract: a Device's identity_token() must encode every
-// result-affecting configuration (gate fusion flags, the dispatched SIMD
-// ISA); two devices with equal caps().name and identity_token() return
-// bit-for-bit equal results for every program/state sequence. Knobs that
-// are bit-for-bit neutral (specialization, threading, cache blocking,
-// workspace placement) must NOT appear in the token.
+// result-affecting configuration (today: the gate fusion flags); two
+// devices with equal caps().name and identity_token() return bit-for-bit
+// equal results for every program/state sequence. Knobs that are
+// bit-for-bit neutral (specialization, SIMD dispatch and its ISA,
+// threading, cache blocking, workspace placement) must NOT appear in the
+// token.
 
 #include <array>
 #include <cstddef>
@@ -55,8 +56,9 @@ struct DeviceCaps {
   ComputeType compute_type = ComputeType::C128;  // amplitude precision
   int max_qubits = 26;                           // widest supported state
   bool supports_prefix_fork = true;  // compile_prefix/compile_suffix usable
-  /// ISA the SIMD path would dispatch to (Scalar when the device was built
+  /// ISA the SIMD path dispatches to (Scalar when the device was built
   /// without SIMD, the host lacks AVX2, or EngineOptions::simd is off).
+  /// Speed only: every ISA returns bit-for-bit equal results.
   IsaLevel isa = IsaLevel::Scalar;
 };
 
@@ -119,7 +121,7 @@ class Device {
 
   /// Every result-affecting device configuration, rendered as a token a
   /// backend appends to its cache identity ("" when the device is bit-exact
-  /// with the generic reference; "+fusion...", "+simd(avx2)" otherwise).
+  /// with the generic reference; "+fusion..." with gate fusion on).
   [[nodiscard]] virtual std::string identity_token() const = 0;
 
   /// Compiles a whole circuit (fusion + classification as configured).
@@ -170,8 +172,8 @@ class Device {
 };
 
 /// CPU device over the gate-kernel engine. `options` fixes the
-/// result-affecting configuration (fusion, SIMD) and the execution defaults
-/// (threading, cache blocking) for every program the device compiles;
+/// result-affecting configuration (fusion) and the execution defaults
+/// (SIMD, threading, cache blocking) for every program the device compiles;
 /// ProgramOptions can only further restrict bit-neutral features.
 [[nodiscard]] std::unique_ptr<Device> make_cpu_device(const EngineOptions& options = {});
 

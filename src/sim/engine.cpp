@@ -317,7 +317,9 @@ void apply_generic_2q(const ApplyContext& ctx, const CompiledOp& op) {
       const std::array<index_t, 4> idx = {base, base | mask0, base | mask1,
                                           base | mask0 | mask1};
       std::array<cx, 4> in;
-      for (int j = 0; j < 4; ++j) in[static_cast<std::size_t>(j)] = ctx.amps[idx[static_cast<std::size_t>(j)]];
+      for (int j = 0; j < 4; ++j) {
+        in[static_cast<std::size_t>(j)] = ctx.amps[idx[static_cast<std::size_t>(j)]];
+      }
       for (int r = 0; r < 4; ++r) {
         cx acc{0.0, 0.0};
         for (int c = 0; c < 4; ++c) {
@@ -455,7 +457,7 @@ void CompiledCircuit::apply(StateVector& state) const {
     return;
   }
   // SIMD path: round-trip through a split re/im scratch state. The copies
-  // are exact; only the kernels themselves deviate (FMA contraction).
+  // are exact and the SoA kernels round like the interleaved ones.
   SoAState soa = SoAState::from_statevector(state);
   apply(soa);
   soa.extract_to(state);

@@ -26,10 +26,11 @@
 // cannot change the VALUE of any double under IEEE arithmetic — only the
 // sign of a zero can differ (x + 0*a can turn -0.0 into +0.0), which ==
 // comparisons, probabilities (std::norm squares the zero away), counts,
-// and cache keys cannot observe (tests/sim_kernel_test.cpp gates this). Gate fusion (circuit::GateFusion) is the one knob allowed to
-// deviate — fused matrices are floating-point products, deviation well
-// under 1e-12 — so it is a result-affecting option that backends fold into
-// their cache identity (see backend::Backend::identity()).
+// and cache keys cannot observe (tests/sim_kernel_test.cpp gates this).
+// Gate fusion (circuit::GateFusion) is the one knob allowed to deviate —
+// fused matrices are floating-point products, deviation well under 1e-12 —
+// so it is a result-affecting option that backends fold into their cache
+// identity (see backend::Backend::identity()).
 //
 // Threading: for states with at least `threading_threshold_qubits` qubits,
 // kernels split their amplitude loops into chunks on a parallel::ThreadPool.
@@ -40,14 +41,15 @@
 // work threshold (`min_parallel_work`) where pool dispatch would cost more
 // than the kernel itself.
 //
-// SIMD: with EngineOptions::simd the compiled circuit executes on a split
-// real/imag (SoA) amplitude layout through runtime-dispatched AVX2/AVX-512
-// kernels (sim/simd_kernels.hpp). FMA contraction changes roundings, so the
-// SIMD path is NOT bit-for-bit with the scalar kernels — it matches within
-// 1e-12 per amplitude and is a result-affecting knob that backends fold
-// into their cache identity, exactly like fusion. When the build or the CPU
-// lacks AVX2 the flag quietly falls back to the scalar path (dispatched_isa()
-// == IsaLevel::Scalar), preserving default-off semantics.
+// SIMD: with EngineOptions::simd (the default) the compiled circuit executes
+// on a split real/imag (SoA) amplitude layout through runtime-dispatched
+// AVX2/AVX-512 kernels (sim/simd_kernels.hpp). Every lane performs the same
+// IEEE operations, grouped the same way, as the interleaved scalar kernels
+// here, with no FMA contraction, so the SIMD path is bit-for-bit identical
+// to them at every ISA: like specialization, it is bit-neutral and never
+// part of a cache identity. When the build or the CPU lacks AVX2 the flag
+// quietly falls back to the interleaved scalar path (isa() ==
+// IsaLevel::Scalar).
 //
 // Cache blocking: runs of at least two consecutive ops whose qubits all lie
 // below `cache_block_qubits` are applied block-by-block — every 2^B-sized
@@ -71,8 +73,8 @@ namespace qcut::sim {
 
 class SoAState;
 
-/// Instruction-set level a compiled circuit's kernels execute at. Scalar is
-/// the bit-exact reference; Avx2/Avx512 are the FMA-contracted SIMD tiers.
+/// Instruction-set level a compiled circuit's kernels execute at. Every level
+/// is bit-for-bit equal to the Scalar reference; Avx2/Avx512 are faster.
 enum class IsaLevel {
   Scalar,
   Avx2,
@@ -96,12 +98,10 @@ struct EngineOptions {
   circuit::FusionOptions fusion{};
 
   /// Execute through the SoA/SIMD kernel path (AVX2, or AVX-512 where the
-  /// CPU has it). FMA contraction makes this deviate from the scalar
-  /// kernels by floating-point rounding (within 1e-12 per amplitude);
-  /// backends fold the dispatched ISA into their cache identity. Falls
-  /// back to the bit-exact scalar path when the build (CMake QCUT_SIMD) or
-  /// the CPU lacks AVX2.
-  bool simd = false;
+  /// CPU has it). Bit-for-bit identical to the scalar kernels; disable only
+  /// to time or test them. Falls back to the scalar path when the build
+  /// (CMake QCUT_SIMD) or the CPU lacks AVX2.
+  bool simd = true;
 
   /// Thread kernel loops over amplitude chunks for states with at least
   /// this many qubits. 27 (above the 26-qubit width cap) disables
@@ -125,12 +125,13 @@ struct EngineOptions {
   parallel::ThreadPool* pool = nullptr;
 
   /// The pre-engine reference configuration: dense generic application of
-  /// every gate, no fusion, no threading, no blocking. The benchmark
-  /// baseline.
+  /// every gate on the interleaved layout, no fusion, no SIMD, no threading,
+  /// no blocking. The benchmark baseline.
   [[nodiscard]] static EngineOptions generic() {
     EngineOptions options;
     options.specialize = false;
     options.fuse = false;
+    options.simd = false;
     options.threading_threshold_qubits = 27;
     options.cache_block_qubits = 0;
     return options;
@@ -199,8 +200,8 @@ class CompiledCircuit {
   [[nodiscard]] std::span<const Segment> segments() const noexcept { return segments_; }
 
   /// The ISA the SIMD path dispatched to at compile time: Scalar unless
-  /// options.simd is set, the build has QCUT_SIMD, and the CPU supports at
-  /// least AVX2.
+  /// options.simd is set (the default), the build has QCUT_SIMD, and the
+  /// CPU supports at least AVX2.
   [[nodiscard]] IsaLevel isa() const noexcept { return isa_; }
 
   /// Gates absorbed by the fusion pass (zero when compiled without fusion).

@@ -9,10 +9,8 @@ namespace qcut::sim::simd {
 
 namespace {
 
-/// Width-1 vector policy: the same kernel bodies as the AVX tiers, plain
-/// double arithmetic, no FMA contraction. Used for GenericKQ under SIMD,
-/// for runs shorter than a vector register, and as the whole table when the
-/// build or CPU lacks AVX2.
+/// Width-1 vector policy: the same kernel bodies as the AVX tiers on plain
+/// doubles. The whole table when the build or CPU lacks AVX2.
 struct ScalarVec {
   using reg = double;
   static constexpr index_t width = 1;
@@ -23,8 +21,6 @@ struct ScalarVec {
   static reg add(reg a, reg b) noexcept { return a + b; }
   static reg sub(reg a, reg b) noexcept { return a - b; }
   static reg mul(reg a, reg b) noexcept { return a * b; }
-  static reg madd(reg a, reg b, reg c) noexcept { return a * b + c; }
-  static reg nmadd(reg a, reg b, reg c) noexcept { return c - a * b; }
 };
 
 const KernelTable& scalar_table() noexcept {
@@ -64,7 +60,7 @@ IsaLevel best_isa() noexcept {
   }
 #endif
 #if defined(QCUT_SIMD_AVX2)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+  if (__builtin_cpu_supports("avx2")) {
     return IsaLevel::Avx2;
   }
 #endif

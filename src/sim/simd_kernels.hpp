@@ -6,8 +6,8 @@
 // width-parameterized template (simd_kernels_impl.hpp) into three tiers:
 //
 //   Scalar — width-1 instantiation, plain double arithmetic, always built;
-//   Avx2   — __m256d (4 doubles/lane pair) with FMA, built when the
-//            compiler accepts -mavx2 -mfma (CMake QCUT_SIMD);
+//   Avx2   — __m256d (4 doubles), built when the compiler accepts -mavx2
+//            (CMake QCUT_SIMD);
 //   Avx512 — __m512d (8 doubles), built when -mavx512f is accepted.
 //
 // The AVX tiers live in their own translation units with per-source ISA
@@ -16,11 +16,12 @@
 // (__builtin_cpu_supports) and picks the widest table both the build and
 // the machine support.
 //
-// Rounding contract: the vector tiers contract complex multiplies through
-// FMA, so their results deviate from the Scalar tier (and from the
-// bit-exact AoS kernels in engine.cpp) by floating-point rounding — within
-// 1e-12 per amplitude for realistic depths. That is why EngineOptions::simd
-// is a result-affecting knob folded into Backend::identity().
+// Rounding contract: every tier is bit-for-bit equal to the interleaved
+// std::complex kernels in engine.cpp. Each lane performs the same IEEE
+// multiplies, adds and subtracts, grouped the same way, and nothing is
+// contracted into an FMA (see simd_kernels_impl.hpp). Dispatch therefore
+// never affects a result: EngineOptions::simd is bit-neutral and no ISA
+// appears in Backend::identity().
 
 #include "sim/engine.hpp"
 
@@ -54,7 +55,7 @@ struct KernelTable {
 [[nodiscard]] bool compiled_with_simd() noexcept;
 
 /// Widest ISA both the build and this CPU support; Scalar when the SIMD
-/// tiers are compiled out or the CPU lacks AVX2+FMA.
+/// tiers are compiled out or the CPU lacks AVX2.
 [[nodiscard]] IsaLevel best_isa() noexcept;
 
 /// The kernel table for an ISA level. Requesting a level the build or CPU

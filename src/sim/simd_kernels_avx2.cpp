@@ -1,7 +1,8 @@
-// AVX2+FMA tier of the SoA kernels. This translation unit is the only place
+// AVX2 tier of the SoA kernels. This translation unit is the only place
 // (with its AVX-512 sibling) allowed to emit AVX instructions: CMake adds
-// -mavx2 -mfma to exactly this file, and best_isa() never hands out this
-// table unless __builtin_cpu_supports confirms the host.
+// -mavx2 -ffp-contract=off to exactly this file, and best_isa() never hands
+// out this table unless __builtin_cpu_supports confirms the host. The policy
+// has no fused multiply-add, so every lane rounds like the scalar engine.
 
 #include "sim/simd_kernels.hpp"
 
@@ -25,17 +26,6 @@ struct Avx2Vec {
   static reg add(reg a, reg b) noexcept { return _mm256_add_pd(a, b); }
   static reg sub(reg a, reg b) noexcept { return _mm256_sub_pd(a, b); }
   static reg mul(reg a, reg b) noexcept { return _mm256_mul_pd(a, b); }
-  // FMA contraction is the SIMD path's one documented rounding deviation:
-  // gated by EngineOptions::simd, validated to 1e-12 per amplitude, and
-  // folded into Backend::identity() so cache keys stay sound.
-  static reg madd(reg a, reg b, reg c) noexcept {
-    // qcut-lint: allow(no-fp-reassociation) -- a*b+c contracted on the identity-bearing SIMD path
-    return _mm256_fmadd_pd(a, b, c);
-  }
-  static reg nmadd(reg a, reg b, reg c) noexcept {
-    // qcut-lint: allow(no-fp-reassociation) -- c-a*b contracted on the identity-bearing SIMD path
-    return _mm256_fnmadd_pd(a, b, c);
-  }
 };
 
 }  // namespace

@@ -1,6 +1,8 @@
 // AVX-512 tier of the SoA kernels: identical code shape to the AVX2 tier at
-// twice the lane width. Compiled with -mavx512f -mavx512dq for exactly this
-// file; dispatched only when __builtin_cpu_supports confirms the host.
+// twice the lane width. Compiled with -mavx512f -mavx512dq -ffp-contract=off
+// for exactly this file (-mavx512f implies FMA support, which the contract
+// flag keeps the compiler from using); dispatched only when
+// __builtin_cpu_supports confirms the host.
 
 #include "sim/simd_kernels.hpp"
 
@@ -24,15 +26,6 @@ struct Avx512Vec {
   static reg add(reg a, reg b) noexcept { return _mm512_add_pd(a, b); }
   static reg sub(reg a, reg b) noexcept { return _mm512_sub_pd(a, b); }
   static reg mul(reg a, reg b) noexcept { return _mm512_mul_pd(a, b); }
-  // Same FMA rounding contract as the AVX2 tier (see simd_kernels.hpp).
-  static reg madd(reg a, reg b, reg c) noexcept {
-    // qcut-lint: allow(no-fp-reassociation) -- a*b+c contracted on the identity-bearing SIMD path
-    return _mm512_fmadd_pd(a, b, c);
-  }
-  static reg nmadd(reg a, reg b, reg c) noexcept {
-    // qcut-lint: allow(no-fp-reassociation) -- c-a*b contracted on the identity-bearing SIMD path
-    return _mm512_fnmadd_pd(a, b, c);
-  }
 };
 
 }  // namespace

@@ -2,10 +2,22 @@
 // Width-parameterized SoA kernel bodies, instantiated once per ISA tier.
 //
 // Included ONLY by the simd_kernels*.cpp translation units; each provides a
-// vector-ops policy V (register type, width, load/store/FMA wrappers) and
+// vector-ops policy V (register type, width, load/store/mul/add/sub) and
 // instantiates SoaKernels<V>::table(). The Scalar tier is the width-1
 // instantiation of the same code, so every tier walks identical index
-// sequences and differs only in lane width and FMA contraction.
+// sequences and differs only in lane width.
+//
+// Rounding contract: every lane performs the same IEEE operations, grouped
+// the same way, as the std::complex<double> kernels in engine.cpp, so every
+// tier is bit-for-bit equal to the interleaved scalar engine:
+//   * a complex product a*b is (ar*br - ai*bi, ar*bi + ai*br) (mul_re /
+//     mul_im below; products commute exactly, so the operand order inside
+//     a product does not matter);
+//   * m00*a0 + m01*a1 adds two whole complex products;
+//   * acc += m*in adds one whole complex product at a time, starting from
+//     +0.0 (so even the sign of a zero matches).
+// No policy may contract a*b+c into an FMA: the tier translation units
+// compile with -ffp-contract=off and the policies expose no fused op.
 //
 // Index scheme — contiguous-run decomposition. Amplitude groups of an op
 // whose lowest sorted qubit is q0 decompose as g = (h << q0) | l with
@@ -30,6 +42,23 @@ struct SoaKernels {
   using reg = typename V::reg;
   static constexpr index_t kW = V::width;
 
+  /// Real and imaginary parts of the complex product (ar + i ai)(br + i bi),
+  /// lane-wise, rounded exactly as std::complex<double> rounds them.
+  static reg mul_re(reg ar, reg ai, reg br, reg bi) noexcept {
+    return V::sub(V::mul(ar, br), V::mul(ai, bi));
+  }
+  static reg mul_im(reg ar, reg ai, reg br, reg bi) noexcept {
+    return V::add(V::mul(ar, bi), V::mul(ai, br));
+  }
+
+  /// The same two expressions on plain doubles, for the scalar tails.
+  static double mul_re1(double ar, double ai, double br, double bi) noexcept {
+    return ar * br - ai * bi;
+  }
+  static double mul_im1(double ar, double ai, double br, double bi) noexcept {
+    return ar * bi + ai * br;
+  }
+
   /// Multiplies the contiguous amplitudes [p, p+count) in place by the
   /// complex constant (fr, fi).
   static void scale_run(double* re, double* im, index_t count, double fr, double fi) {
@@ -39,14 +68,14 @@ struct SoaKernels {
     for (; l + kW <= count; l += kW) {
       const reg ar = V::load(re + l);
       const reg ai = V::load(im + l);
-      V::store(re + l, V::nmadd(vfi, ai, V::mul(vfr, ar)));
-      V::store(im + l, V::madd(vfi, ar, V::mul(vfr, ai)));
+      V::store(re + l, mul_re(ar, ai, vfr, vfi));
+      V::store(im + l, mul_im(ar, ai, vfr, vfi));
     }
     for (; l < count; ++l) {
       const double ar = re[l];
       const double ai = im[l];
-      re[l] = fr * ar - fi * ai;
-      im[l] = fr * ai + fi * ar;
+      re[l] = mul_re1(ar, ai, fr, fi);
+      im[l] = mul_im1(ar, ai, fr, fi);
     }
   }
 
@@ -96,8 +125,8 @@ struct SoaKernels {
           } else {
             const reg pr = V::set1(op.perm_phase[i].real());
             const reg pi = V::set1(op.perm_phase[i].imag());
-            V::store(dr, V::nmadd(pi, bi[i], V::mul(pr, br[i])));
-            V::store(di, V::madd(pi, br[i], V::mul(pr, bi[i])));
+            V::store(dr, mul_re(pr, pi, br[i], bi[i]));
+            V::store(di, mul_im(pr, pi, br[i], bi[i]));
           }
         }
       }
@@ -116,8 +145,8 @@ struct SoaKernels {
           } else {
             const double pr = op.perm_phase[i].real();
             const double pi = op.perm_phase[i].imag();
-            s.re[d] = pr * br[i] - pi * bi[i];
-            s.im[d] = pr * bi[i] + pi * br[i];
+            s.re[d] = mul_re1(pr, pi, br[i], bi[i]);
+            s.im[d] = mul_im1(pr, pi, br[i], bi[i]);
           }
         }
       }
@@ -126,7 +155,8 @@ struct SoaKernels {
   }
 
   /// Shared 2x2 body: applies [[m00 m01],[m10 m11]] to the amplitude pairs
-  /// (base+off0+l, base+off1+l) for l in group runs of [lo, hi).
+  /// (base+off0+l, base+off1+l) for l in group runs of [lo, hi). Each output
+  /// is the sum of two whole complex products, as in m00*a0 + m01*a1.
   static void two_level(const SoaSpan& s, std::span<const int> qs, const linalg::CMat& m,
                         index_t off0, index_t off1, index_t lo, index_t hi) {
     const double m00r = m(0, 0).real(), m00i = m(0, 0).imag();
@@ -152,35 +182,18 @@ struct SoaKernels {
       for (; l + kW <= lend; l += kW) {
         const reg a0r = V::load(r0 + l), a0i = V::load(i0 + l);
         const reg a1r = V::load(r1 + l), a1i = V::load(i1 + l);
-        // n0 = m00*a0 + m01*a1, n1 = m10*a0 + m11*a1 (complex).
-        reg nr = V::mul(v00r, a0r);
-        nr = V::nmadd(v00i, a0i, nr);
-        nr = V::madd(v01r, a1r, nr);
-        nr = V::nmadd(v01i, a1i, nr);
-        reg ni = V::mul(v00r, a0i);
-        ni = V::madd(v00i, a0r, ni);
-        ni = V::madd(v01r, a1i, ni);
-        ni = V::madd(v01i, a1r, ni);
-        V::store(r0 + l, nr);
-        V::store(i0 + l, ni);
-        nr = V::mul(v10r, a0r);
-        nr = V::nmadd(v10i, a0i, nr);
-        nr = V::madd(v11r, a1r, nr);
-        nr = V::nmadd(v11i, a1i, nr);
-        ni = V::mul(v10r, a0i);
-        ni = V::madd(v10i, a0r, ni);
-        ni = V::madd(v11r, a1i, ni);
-        ni = V::madd(v11i, a1r, ni);
-        V::store(r1 + l, nr);
-        V::store(i1 + l, ni);
+        V::store(r0 + l, V::add(mul_re(v00r, v00i, a0r, a0i), mul_re(v01r, v01i, a1r, a1i)));
+        V::store(i0 + l, V::add(mul_im(v00r, v00i, a0r, a0i), mul_im(v01r, v01i, a1r, a1i)));
+        V::store(r1 + l, V::add(mul_re(v10r, v10i, a0r, a0i), mul_re(v11r, v11i, a1r, a1i)));
+        V::store(i1 + l, V::add(mul_im(v10r, v10i, a0r, a0i), mul_im(v11r, v11i, a1r, a1i)));
       }
       for (; l < lend; ++l) {
         const double a0r = r0[l], a0i = i0[l];
         const double a1r = r1[l], a1i = i1[l];
-        r0[l] = m00r * a0r - m00i * a0i + m01r * a1r - m01i * a1i;
-        i0[l] = m00r * a0i + m00i * a0r + m01r * a1i + m01i * a1r;
-        r1[l] = m10r * a0r - m10i * a0i + m11r * a1r - m11i * a1i;
-        i1[l] = m10r * a0i + m10i * a0r + m11r * a1i + m11i * a1r;
+        r0[l] = mul_re1(m00r, m00i, a0r, a0i) + mul_re1(m01r, m01i, a1r, a1i);
+        i0[l] = mul_im1(m00r, m00i, a0r, a0i) + mul_im1(m01r, m01i, a1r, a1i);
+        r1[l] = mul_re1(m10r, m10i, a0r, a0i) + mul_re1(m11r, m11i, a1r, a1i);
+        i1[l] = mul_im1(m10r, m10i, a0r, a0i) + mul_im1(m11r, m11i, a1r, a1i);
       }
       g += lend - l0;
     }
@@ -195,6 +208,8 @@ struct SoaKernels {
     two_level(s, op.sorted_qubits, op.matrix, 0, pow2(op.qubits[0]), lo, hi);
   }
 
+  /// Dense 4x4: acc starts at +0.0 and adds one whole complex product per
+  /// column, as acc += m(r, c) * in[c] does.
   static void generic_2q(const SoaSpan& s, const CompiledOp& op, index_t lo, index_t hi) {
     const auto& qs = op.sorted_qubits;
     const index_t off[4] = {0, pow2(op.qubits[0]), pow2(op.qubits[1]),
@@ -228,10 +243,8 @@ struct SoaKernels {
           for (int c = 0; c < 4; ++c) {
             const reg wr = V::set1(mr[r][c]);
             const reg wi = V::set1(mi[r][c]);
-            accr = V::madd(wr, ar[c], accr);
-            accr = V::nmadd(wi, ai[c], accr);
-            acci = V::madd(wr, ai[c], acci);
-            acci = V::madd(wi, ar[c], acci);
+            accr = V::add(accr, mul_re(wr, wi, ar[c], ai[c]));
+            acci = V::add(acci, mul_im(wr, wi, ar[c], ai[c]));
           }
           V::store(s.re + base + off[r] + l, accr);
           V::store(s.im + base + off[r] + l, acci);
@@ -248,8 +261,8 @@ struct SoaKernels {
           double accr = 0.0;
           double acci = 0.0;
           for (int c = 0; c < 4; ++c) {
-            accr += mr[r][c] * inr[c] - mi[r][c] * ini[c];
-            acci += mr[r][c] * ini[c] + mi[r][c] * inr[c];
+            accr += mul_re1(mr[r][c], mi[r][c], inr[c], ini[c]);
+            acci += mul_im1(mr[r][c], mi[r][c], inr[c], ini[c]);
           }
           s.re[base + off[r] + l] = accr;
           s.im[base + off[r] + l] = acci;
@@ -277,8 +290,8 @@ struct SoaKernels {
         for (index_t c = 0; c < block; ++c) {
           const double wr = op.matrix(r, c).real();
           const double wi = op.matrix(r, c).imag();
-          accr += wr * inr[c] - wi * ini[c];
-          acci += wr * ini[c] + wi * inr[c];
+          accr += mul_re1(wr, wi, inr[c], ini[c]);
+          acci += mul_im1(wr, wi, inr[c], ini[c]);
         }
         outr[r] = accr;
         outi[r] = acci;

@@ -6,10 +6,11 @@
 // shuffle in-register. Splitting the amplitudes into two plain double
 // arrays lets the AVX2/AVX-512 kernels (sim/simd_kernels.hpp) load W real
 // parts and W imaginary parts with two contiguous loads and keep the
-// complex arithmetic as independent FMA chains. Conversion to and from the
-// interleaved layout is an exact copy — no arithmetic, so it cannot perturb
-// amplitudes; only the SIMD kernels themselves (FMA contraction) deviate
-// from the scalar path, and that deviation is owned by EngineOptions::simd.
+// complex arithmetic as independent lane-wise multiply/add chains.
+// Conversion to and from the interleaved layout is an exact copy — no
+// arithmetic, so it cannot perturb amplitudes — and the SIMD kernels round
+// exactly as the interleaved scalar kernels do, so the layout never shows
+// in a result.
 
 #include <vector>
 

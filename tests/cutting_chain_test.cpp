@@ -42,6 +42,30 @@ std::vector<double> truth_of(const Circuit& c) {
   return sv.probabilities();
 }
 
+/// Index of the last operation acting on `qubit`.
+std::size_t last_op_on(const Circuit& c, int qubit) {
+  std::size_t last = 0;
+  for (std::size_t i = 0; i < c.num_ops(); ++i) {
+    if (c.op(i).acts_on(qubit)) last = i;
+  }
+  return last;
+}
+
+/// `width`-qubit 3-fragment ry+cx chain: qubit 0, then all qubits, then the
+/// last qubit, one cut wire per boundary.
+Circuit brick_chain(int width, std::vector<std::vector<WirePoint>>& boundaries) {
+  Circuit c(width);
+  c.ry(0.3, 0);
+  boundaries = {{WirePoint{0, last_op_on(c, 0)}}};
+  for (int layer = 0; layer < 3; ++layer) {
+    for (int q = 0; q < width; ++q) c.ry(0.1 * (q + 1) + 0.7 * layer, q);
+    for (int q = layer % 2; q + 1 < width; q += 2) c.cx(q, q + 1);
+  }
+  boundaries.push_back({WirePoint{width - 1, last_op_on(c, width - 1)}});
+  c.ry(0.9, width - 1);
+  return c;
+}
+
 TEST(ChainCutting, ThreeFragmentExactReconstructionMatchesTruth) {
   const Circuit c = chain5();
   const FragmentGraph graph = make_fragment_chain(c, chain5_boundaries());
@@ -124,6 +148,81 @@ TEST(ChainCutting, ProbabilityOfAndDiagonalExpectationAgreeWithDistribution) {
     folded += diagonal[x] * full.raw_probabilities[x];
   }
   EXPECT_NEAR(reconstruct_diagonal_expectation(graph, data, spec, diagonal), folded, 1e-12);
+}
+
+/// Chain reconstruction runs inline below kMinParallelReconstructionWork and
+/// fans out over the pool at or above it. On both sides the result is bit
+/// for bit the same at every pool size, including a single-worker pool
+/// (which never dispatches), with and without golden neglect; and at N=2 it
+/// equals the Bipartition path, whose accumulation always takes the pool.
+TEST(ChainCutting, InlineAndPooledReconstructionAgreeAcrossTheWorkThreshold) {
+  {
+    Rng rng(31);
+    circuit::GoldenAnsatzOptions small_options;
+    small_options.num_qubits = 5;
+    const circuit::GoldenAnsatz small = circuit::make_golden_ansatz(small_options, rng);
+    circuit::MultiCutAnsatzOptions wide_options;
+    wide_options.num_cuts = 2;
+    wide_options.block_width = 7;
+    const circuit::MultiCutAnsatz wide = circuit::make_multi_cut_golden_ansatz(wide_options, rng);
+    const std::array<std::pair<const Circuit*, std::vector<WirePoint>>, 2> pairs = {
+        std::pair{&small.circuit, std::vector<WirePoint>{small.cut}},
+        std::pair{&wide.circuit, wide.cuts}};
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const auto& [c, cuts] = pairs[i];
+      const Bipartition bp = make_bipartition(*c, cuts);
+      const FragmentGraph graph = make_fragment_graph(*c, cuts);
+      const NeglectSpec spec = NeglectSpec::none(bp.num_cuts());
+      const ChainNeglectSpec chain_spec{{spec}};
+      EXPECT_EQ(chain_reconstruction_work(graph, chain_spec) >= kMinParallelReconstructionWork,
+                i == 1);
+      ExecutionOptions exec;
+      exec.shots_per_variant = 1000;
+      backend::StatevectorBackend direct_backend(3);
+      const FragmentData direct = execute_fragments(bp, spec, direct_backend, exec);
+      backend::StatevectorBackend chain_backend(3);
+      const ChainFragmentData data = execute_chain(graph, chain_spec, chain_backend, exec);
+      EXPECT_EQ(reconstruct_distribution(graph, data, chain_spec).raw_probabilities,
+                reconstruct_distribution(bp, direct, spec).raw_probabilities)
+          << "two-fragment case " << i;
+    }
+  }
+
+  std::vector<std::vector<WirePoint>> wide_boundaries;
+  const Circuit wide = brick_chain(14, wide_boundaries);
+  const std::array<std::pair<Circuit, std::vector<std::vector<WirePoint>>>, 2> cases = {
+      std::pair{chain5(), chain5_boundaries()}, std::pair{wide, wide_boundaries}};
+  const std::array<bool, 2> above_threshold = {false, true};
+
+  parallel::ThreadPool one(1);
+  parallel::ThreadPool three(3);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& [c, boundaries] = cases[i];
+    const FragmentGraph graph = make_fragment_chain(c, boundaries);
+    const std::array<ChainNeglectSpec, 2> specs = {
+        ChainNeglectSpec::none(graph), ChainNeglectSpec{detect_chain_golden_specs(c, boundaries)}};
+    for (const ChainNeglectSpec& spec : specs) {
+      EXPECT_EQ(chain_reconstruction_work(graph, spec) >= kMinParallelReconstructionWork,
+                above_threshold[i])
+          << "case " << i;
+      backend::StatevectorBackend backend(5);
+      ExecutionOptions exec;
+      exec.shots_per_variant = 2000;
+      const ChainFragmentData data = execute_chain(graph, spec, backend, exec);
+
+      ReconstructionOptions serial;
+      serial.pool = &one;
+      ReconstructionOptions pooled;
+      pooled.pool = &three;
+      const ReconstructionResult reference = reconstruct_distribution(graph, data, spec, serial);
+      EXPECT_EQ(reconstruct_distribution(graph, data, spec, pooled).raw_probabilities,
+                reference.raw_probabilities)
+          << "case " << i;
+      EXPECT_EQ(reconstruct_distribution(graph, data, spec).raw_probabilities,
+                reference.raw_probabilities)
+          << "case " << i;
+    }
+  }
 }
 
 /// The N=2 chain must reproduce the historical Bipartition pipeline bit for

@@ -6,12 +6,98 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "circuit/random.hpp"
 #include "common/error.hpp"
 #include "cutting/variants.hpp"
+#include "linalg/ops.hpp"
+#include "sim/statevector.hpp"
 
 namespace qcut::cutting {
 namespace {
+
+/// The original exact detector, kept verbatim as the oracle: generic
+/// StateVector simulation of the upstream fragment, one dense conditional
+/// matrix per output bitstring, and one kron'd operator per (cut, Pauli,
+/// context), contracted with linalg::trace_of_product.
+GoldenDetectionReport reference_detect_golden_exact(const Bipartition& bp, double tol) {
+  const int num_cuts = bp.num_cuts();
+  const std::vector<int> cut_qubits = bp.f1_cut_qubits();
+  const std::vector<int>& out_qubits = bp.f1_output_qubits;
+
+  sim::StateVector psi(bp.f1_width());
+  psi.apply_circuit(bp.f1);
+  const linalg::CVec& amps = psi.amplitudes();
+
+  const index_t out_dim = pow2(static_cast<int>(out_qubits.size()));
+  const index_t cut_dim = pow2(num_cuts);
+  std::vector<linalg::CMat> conditional(out_dim, linalg::CMat(cut_dim, cut_dim));
+  for (index_t b1 = 0; b1 < out_dim; ++b1) {
+    const index_t base = scatter_bits(b1, out_qubits);
+    for (index_t c = 0; c < cut_dim; ++c) {
+      const index_t ic = base | scatter_bits(c, cut_qubits);
+      for (index_t cp = 0; cp < cut_dim; ++cp) {
+        const index_t icp = base | scatter_bits(cp, cut_qubits);
+        conditional[b1](c, cp) = amps[ic] * std::conj(amps[icp]);
+      }
+    }
+  }
+
+  std::vector<linalg::CMat> projectors;
+  for (linalg::PrepState s : linalg::kAllPrepStates) {
+    const linalg::CVec& v = linalg::prep_state_vector(s);
+    projectors.push_back(linalg::outer(v, v));
+  }
+
+  GoldenDetectionReport report;
+  report.violation.assign(static_cast<std::size_t>(num_cuts), {0.0, 0.0, 0.0, 0.0});
+  report.golden.assign(static_cast<std::size_t>(num_cuts), {false, false, false, false});
+  std::uint64_t num_contexts = 1;
+  for (int j = 0; j + 1 < num_cuts; ++j) num_contexts *= kNumPrepStates;
+  std::vector<linalg::CMat> slot(static_cast<std::size_t>(num_cuts));
+  for (int k = 0; k < num_cuts; ++k) {
+    for (Pauli p : linalg::kAllPaulis) {
+      double violation = 0.0;
+      for (std::uint64_t ctx = 0; ctx < num_contexts; ++ctx) {
+        std::uint64_t rest = ctx;
+        for (int j = 0; j < num_cuts; ++j) {
+          if (j == k) {
+            slot[static_cast<std::size_t>(j)] = linalg::pauli_matrix(p);
+          } else {
+            slot[static_cast<std::size_t>(j)] =
+                projectors[static_cast<std::size_t>(rest % kNumPrepStates)];
+            rest /= kNumPrepStates;
+          }
+        }
+        linalg::CMat op = slot[static_cast<std::size_t>(num_cuts - 1)];
+        for (int j = num_cuts - 2; j >= 0; --j) {
+          op = linalg::kron(op, slot[static_cast<std::size_t>(j)]);
+        }
+        for (index_t b1 = 0; b1 < out_dim; ++b1) {
+          violation =
+              std::max(violation, std::abs(linalg::trace_of_product(conditional[b1], op)));
+        }
+      }
+      report.violation[static_cast<std::size_t>(k)][static_cast<std::size_t>(p)] = violation;
+      report.golden[static_cast<std::size_t>(k)][static_cast<std::size_t>(p)] =
+          p != Pauli::I && violation <= tol;
+    }
+  }
+  return report;
+}
+
+void expect_reports_identical(const GoldenDetectionReport& want,
+                              const GoldenDetectionReport& got) {
+  ASSERT_EQ(want.violation.size(), got.violation.size());
+  for (std::size_t k = 0; k < want.violation.size(); ++k) {
+    for (std::size_t p = 0; p < 4; ++p) {
+      EXPECT_EQ(want.violation[k][p], got.violation[k][p]) << "cut " << k << " pauli " << p;
+      EXPECT_EQ(want.golden[k][p], got.golden[k][p]) << "cut " << k << " pauli " << p;
+    }
+  }
+}
 
 TEST(NeglectSpec, DefaultIsAllActive) {
   const NeglectSpec spec(2);
@@ -221,6 +307,56 @@ TEST(DetectExact, EntangledRealBlocksAreNotPerCutGolden) {
   // with one Y vanish while (Y, Y) does not. Verify via the violation of
   // the per-cut test being driven by the YY context only.
   EXPECT_GT(report.violation[0][static_cast<std::size_t>(Pauli::Y)], 0.1);
+}
+
+/// The engine-based one-pass detector reproduces the original detector's
+/// violations bit for bit (==, not within a tolerance) on golden and
+/// generic upstream fragments with 1 to 3 cuts.
+TEST(DetectExact, MatchesReferenceImplementationBitForBit) {
+  std::vector<Bipartition> cases;
+  for (int n : {5, 7, 9}) {
+    for (const Pauli basis : {Pauli::Y, Pauli::X}) {
+      Rng rng(static_cast<std::uint64_t>(n) * 10 + static_cast<std::uint64_t>(basis));
+      circuit::GoldenAnsatzOptions options;
+      options.num_qubits = n;
+      options.upstream_depth = 3;
+      options.golden_basis = basis;
+      const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
+      const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
+      cases.push_back(make_bipartition(ansatz.circuit, cuts));
+    }
+  }
+  for (int num_cuts : {2, 3}) {
+    Rng rng(static_cast<std::uint64_t>(40 + num_cuts));
+    circuit::MultiCutAnsatzOptions options;
+    options.num_cuts = num_cuts;
+    const circuit::MultiCutAnsatz ansatz = circuit::make_multi_cut_golden_ansatz(options, rng);
+    cases.push_back(make_bipartition(ansatz.circuit, ansatz.cuts));
+  }
+  // Generic (General gate set) upstream blocks of 4..6 qubits, cut on the
+  // last upstream wire after its last upstream gate.
+  for (int up = 4; up <= 6; ++up) {
+    Rng rng(static_cast<std::uint64_t>(50 + up));
+    circuit::RandomCircuitOptions rc;
+    rc.depth = 4;
+    std::vector<int> upstream(static_cast<std::size_t>(up));
+    for (int q = 0; q < up; ++q) upstream[static_cast<std::size_t>(q)] = q;
+    circuit::Circuit c = circuit::random_circuit_on(rc, upstream, up + 2, rng);
+    std::size_t last = 0;
+    for (std::size_t i = 0; i < c.num_ops(); ++i) {
+      const auto& qs = c.op(i).qubits;
+      if (std::find(qs.begin(), qs.end(), up - 1) != qs.end()) last = i;
+    }
+    c.cx(up - 1, up).h(up + 1).cx(up, up + 1);
+    const std::array<circuit::WirePoint, 1> cuts = {circuit::WirePoint{up - 1, last}};
+    cases.push_back(make_bipartition(c, cuts));
+  }
+  for (const Bipartition& bp : cases) {
+    SCOPED_TRACE("f1 width " + std::to_string(bp.f1_width()) + ", cuts " +
+                 std::to_string(bp.num_cuts()));
+    expect_reports_identical(reference_detect_golden_exact(bp, 1e-9),
+                             detect_golden_exact(bp, 1e-9));
+  }
 }
 
 }  // namespace

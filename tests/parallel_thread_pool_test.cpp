@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -78,6 +80,21 @@ TEST(ParallelFor, PropagatesExceptions) {
                      if (i == 57) throw Error("failure injection");
                    }),
       Error);
+}
+
+/// A failing chunk is rethrown only after every other chunk has finished:
+/// the chunks run `fn`, which lives in the caller's frame.
+TEST(ParallelFor, FinishesEveryChunkBeforeRethrowing) {
+  ThreadPool pool(2);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(parallel_for(pool, 0, 16,
+                            [&](std::size_t i) {
+                              if (i == 1) throw Error("failure injection");
+                              std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                              finished.fetch_add(1);
+                            }),
+               Error);
+  EXPECT_EQ(finished.load(), 15);
 }
 
 TEST(ParallelFor, RespectsGrain) {

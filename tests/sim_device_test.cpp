@@ -2,7 +2,7 @@
 //
 // Gates the contracts layers above the simulator rely on:
 //  * compile + apply through the Device matches the engine's reference
-//    results (bit-for-bit scalar, within 1e-12 under SIMD);
+//    results bit for bit, with SIMD on (the default) or off;
 //  * compile_prefix/compile_suffix forking is bit-for-bit identical to a
 //    whole-circuit compile at every split point (the stream property,
 //    lifted to the Device level);
@@ -46,17 +46,23 @@ std::vector<double> device_probabilities(const Device& device, const Circuit& c,
   return probs;
 }
 
+linalg::CVec device_amplitudes(const Device& device, const Circuit& c) {
+  const auto state = device.create_state(c.num_qubits());
+  device.apply(*device.compile(c), *state);
+  return device.amplitudes(*state);
+}
+
 TEST(CpuDevice, CapsDescribeTheEngine) {
   const auto device = make_cpu_device();
   EXPECT_EQ(device->caps().name, "cpu");
   EXPECT_EQ(device->caps().compute_type, ComputeType::C128);
-  EXPECT_EQ(device->caps().isa, IsaLevel::Scalar);  // simd defaults off
+  EXPECT_EQ(device->caps().isa, simd::best_isa());  // simd defaults on
   EXPECT_TRUE(device->caps().supports_prefix_fork);
 
-  EngineOptions simd_options;
-  simd_options.simd = true;
-  const auto simd_device = make_cpu_device(simd_options);
-  EXPECT_EQ(simd_device->caps().isa, simd::best_isa());
+  EngineOptions scalar_options;
+  scalar_options.simd = false;
+  const auto scalar_device = make_cpu_device(scalar_options);
+  EXPECT_EQ(scalar_device->caps().isa, IsaLevel::Scalar);
 }
 
 TEST(CpuDevice, ApplyMatchesEngineReference) {
@@ -172,7 +178,7 @@ TEST(CpuDevice, SummaryReportsCompiledShape) {
   EXPECT_EQ(s.class_counts[static_cast<std::size_t>(KernelClass::Permutation)], 1u);
   EXPECT_EQ(s.class_counts[static_cast<std::size_t>(KernelClass::Diagonal)], 2u);
   EXPECT_EQ(s.class_counts[static_cast<std::size_t>(KernelClass::Generic1Q)], 1u);
-  EXPECT_EQ(s.isa, IsaLevel::Scalar);
+  EXPECT_EQ(s.isa, simd::best_isa());
   EXPECT_GT(s.fused_fraction(), 0.0);
   EXPECT_FALSE(s.to_string().empty());
 
@@ -194,7 +200,8 @@ TEST(CpuDevice, IdentityTokenEncodesResultAffectingKnobsOnly) {
   flags.fusion.fuse_to_3q = true;
   EXPECT_EQ(make_cpu_device(flags)->identity_token(), "+fusion-nomerge-nofold-no2q+3q");
 
-  // Bit-neutral knobs must NOT appear: threading, grain, blocking.
+  // Bit-neutral knobs must NOT appear: threading, grain, blocking, SIMD
+  // dispatch (every ISA tier is bit-for-bit equal to the scalar kernels).
   EngineOptions neutral;
   neutral.threading_threshold_qubits = 2;
   neutral.min_parallel_work = 1;
@@ -202,31 +209,19 @@ TEST(CpuDevice, IdentityTokenEncodesResultAffectingKnobsOnly) {
   EXPECT_EQ(make_cpu_device(neutral)->identity_token(),
             make_cpu_device()->identity_token());
 
-  EngineOptions simd_options;
-  simd_options.simd = true;
-  const std::string simd_token = make_cpu_device(simd_options)->identity_token();
-  if (simd::best_isa() == IsaLevel::Scalar) {
-    EXPECT_EQ(simd_token, "+fusion");  // quiet fallback: still bit-exact
-  } else {
-    EXPECT_EQ(simd_token, "+fusion+simd(" + isa_level_name(simd::best_isa()) + ")");
-  }
+  EngineOptions scalar_options;
+  scalar_options.simd = false;
+  EXPECT_EQ(make_cpu_device(scalar_options)->identity_token(), "+fusion");
 }
 
-TEST(CpuDevice, SimdDeviceMatchesScalarWithin1em12) {
-  if (simd::best_isa() == IsaLevel::Scalar) {
-    GTEST_SKIP() << "SIMD tiers unavailable; device pins to scalar";
-  }
-  EngineOptions simd_options;
-  simd_options.simd = true;
-  const auto scalar_device = make_cpu_device();
-  const auto simd_device = make_cpu_device(simd_options);
+TEST(CpuDevice, SimdDeviceMatchesScalarBitForBit) {
+  EngineOptions scalar_options;
+  scalar_options.simd = false;
+  const auto scalar_device = make_cpu_device(scalar_options);
+  const auto simd_device = make_cpu_device();
   const Circuit c = random_circuit_of(9, 24, 17);
-  const std::vector<double> scalar = device_probabilities(*scalar_device, c);
-  const std::vector<double> vectorized = device_probabilities(*simd_device, c);
-  ASSERT_EQ(scalar.size(), vectorized.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    EXPECT_NEAR(scalar[i], vectorized[i], 1e-12) << i;
-  }
+  EXPECT_EQ(device_amplitudes(*scalar_device, c), device_amplitudes(*simd_device, c));
+  EXPECT_EQ(device_probabilities(*scalar_device, c), device_probabilities(*simd_device, c));
 
   // Prefix forking stays exact relative to the SIMD device's own whole
   // compile (the stream property is layout- and ISA-independent).

@@ -4,6 +4,8 @@
 //  * every specialized kernel is BIT-FOR-BIT identical to the generic
 //    StateVector::apply_matrix path, across random gates, random qubit
 //    orders, and widths;
+//  * every SoA/SIMD kernel tier is bit-for-bit identical to the interleaved
+//    scalar engine (and so to the generic path);
 //  * threaded kernel application is bit-for-bit identical at any thread
 //    count (1 vs N);
 //  * the fusion pass stays within 1e-12 of the unfused circuit, and its
@@ -18,7 +20,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "circuit/optimize.hpp"
@@ -300,24 +305,172 @@ TEST(CacheBlocking, BitForBitEqualToUnblocked) {
 
 // ---- SIMD path --------------------------------------------------------------
 //
-// The SoA/SIMD kernels are the engine's one tolerance-validated (not
-// bit-for-bit) execution path: FMA contraction changes roundings. The
-// budget is 1e-12 per amplitude — far above the few-ulp deviation FMA can
-// introduce, far below any physically meaningful difference — and the tests
-// skip (with a note) when neither the build nor the CPU provides AVX2.
+// Every SoA kernel tier performs the interleaved engine's IEEE operations,
+// grouped the same way, with no FMA contraction, so every tier is
+// bit-for-bit equal to the scalar engine — including the sign of zeros —
+// and equal (==) to the generic apply_matrix path. Tiers the build or CPU
+// lacks fall back to the Scalar table, so the matrices below always run.
 
-constexpr double kSimdTol = 1e-12;
+constexpr std::array<IsaLevel, 3> kAllIsas = {IsaLevel::Scalar, IsaLevel::Avx2,
+                                              IsaLevel::Avx512};
 
-bool simd_available() { return simd::best_isa() != IsaLevel::Scalar; }
-
-/// Every named gate at every qubit placement: SIMD vs scalar-specialized,
-/// within kSimdTol per amplitude. Mirrors EveryNamedGateBitForBit's matrix
-/// (gate x width x qubit order) with the tolerance contract.
-TEST(SimdKernels, EveryNamedGateWithin1em12PerAmplitude) {
-  if (!simd_available()) {
-    GTEST_SKIP() << "SIMD tiers unavailable (build without QCUT_SIMD or CPU "
-                    "without AVX2); path pinned to bit-exact scalar";
+/// Index of the first amplitude whose bits differ, or -1 when `a` and `b`
+/// are identical bit for bit (the sign of zero included).
+long first_bit_mismatch(const StateVector& a, const StateVector& b) {
+  for (index_t i = 0; i < a.dim(); ++i) {
+    const cx x = a.amplitude(i);
+    const cx y = b.amplitude(i);
+    if (std::bit_cast<std::uint64_t>(x.real()) != std::bit_cast<std::uint64_t>(y.real()) ||
+        std::bit_cast<std::uint64_t>(x.imag()) != std::bit_cast<std::uint64_t>(y.imag())) {
+      return static_cast<long>(i);
+    }
   }
+  return -1;
+}
+
+void expect_bits_equal(const StateVector& a, const StateVector& b) {
+  ASSERT_EQ(a.dim(), b.dim());
+  EXPECT_EQ(first_bit_mismatch(a, b), -1) << "(index of the first differing amplitude)";
+}
+
+linalg::CMat random_dense(index_t dim, Rng& rng) {
+  linalg::CMat m(dim, dim);
+  for (index_t r = 0; r < dim; ++r) {
+    for (index_t c = 0; c < dim; ++c) m(r, c) = cx{rng.normal(), rng.normal()};
+  }
+  return m;
+}
+
+/// One representative op of `cls` on `qubits` (arity 1..3 as the class
+/// allows; returns false when the class has no op of that arity).
+bool op_of_class(KernelClass cls, const std::vector<int>& qubits, Rng& rng, Operation& out) {
+  const std::size_t k = qubits.size();
+  const double th = rng.uniform(0.0, 6.28);
+  switch (cls) {
+    case KernelClass::Diagonal:
+      if (k == 1) out = make_op(GateKind::RZ, qubits, {th});
+      if (k == 2) out = make_op(GateKind::RZZ, qubits, {th});
+      if (k == 3) {
+        linalg::CVec diag(8);
+        for (cx& d : diag) d = std::polar(1.0, rng.uniform(0.0, 6.28));
+        out = make_custom(linalg::CMat::diagonal(diag), qubits);
+      }
+      return true;
+    case KernelClass::Permutation:  // phased where the gate allows it
+      if (k == 1) out = make_op(GateKind::Y, qubits);
+      if (k == 2) out = make_op(GateKind::ISwap, qubits);
+      if (k == 3) out = make_op(GateKind::CSWAP, qubits);
+      return true;
+    case KernelClass::Controlled1Q:
+      if (k != 2) return false;
+      out = make_op(GateKind::CRY, qubits, {th});
+      return true;
+    case KernelClass::Generic1Q:
+      if (k != 1) return false;
+      out = make_custom(random_dense(2, rng), qubits);
+      return true;
+    case KernelClass::Generic2Q:
+      if (k != 2) return false;
+      out = make_custom(random_dense(4, rng), qubits);
+      return true;
+    case KernelClass::GenericKQ:
+      if (k != 3) return false;
+      out = make_custom(random_dense(8, rng), qubits);
+      return true;
+  }
+  return false;
+}
+
+/// Every ordered tuple of `arity` distinct qubits below `width` (sampled
+/// down to 24 tuples for 3-qubit ops on wide registers).
+std::vector<std::vector<int>> qubit_orders(int arity, int width, Rng& rng) {
+  std::vector<std::vector<int>> out;
+  std::vector<int> current;
+  const auto recurse = [&](const auto& self) -> void {
+    if (static_cast<int>(current.size()) == arity) {
+      out.push_back(current);
+      return;
+    }
+    for (int q = 0; q < width; ++q) {
+      if (std::find(current.begin(), current.end(), q) != current.end()) continue;
+      current.push_back(q);
+      self(self);
+      current.pop_back();
+    }
+  };
+  recurse(recurse);
+  if (arity == 3 && out.size() > 24) {
+    std::vector<std::vector<int>> sampled;
+    for (int i = 0; i < 24; ++i) {
+      sampled.push_back(out[rng.uniform_int(0, out.size() - 1)]);
+    }
+    return sampled;
+  }
+  return out;
+}
+
+/// The bit-identity matrix: every KernelClass x every kernel table x widths
+/// 1..10 x qubit orders. Each op is applied through the table's kernel in
+/// two chunks split at a group index that is not a multiple of any lane
+/// width, so runs shorter than a vector register (gates on qubits 0..2)
+/// and partial runs both take the scalar tails. Results must equal the
+/// interleaved AoS engine bit for bit and the generic apply_matrix path ==.
+TEST(SimdKernels, BitIdentityMatrix) {
+  constexpr std::array<KernelClass, 6> kClasses = {
+      KernelClass::Diagonal,  KernelClass::Permutation, KernelClass::Controlled1Q,
+      KernelClass::Generic1Q, KernelClass::Generic2Q,   KernelClass::GenericKQ};
+  Rng rng(83);
+  std::size_t cases = 0;
+  for (const IsaLevel isa : kAllIsas) {
+    const simd::KernelTable& table = simd::kernel_table(isa);
+    for (int width = 1; width <= 10; ++width) {
+      for (const KernelClass cls : kClasses) {
+        for (int arity = 1; arity <= std::min(width, 3); ++arity) {
+          for (const std::vector<int>& qubits : qubit_orders(arity, width, rng)) {
+            Operation op;
+            if (!op_of_class(cls, qubits, rng, op)) break;
+            SCOPED_TRACE(isa_level_name(isa) + " " + kernel_class_name(cls) + " width " +
+                         std::to_string(width) + " qubits " + std::to_string(qubits[0]) +
+                         (arity > 1 ? "," + std::to_string(qubits[1]) : "") +
+                         (arity > 2 ? "," + std::to_string(qubits[2]) : ""));
+            EngineOptions scalar_options;
+            scalar_options.fuse = false;
+            scalar_options.simd = false;
+            const std::array<Operation, 1> ops = {op};
+            const CompiledCircuit compiled = compile_ops(ops, width, scalar_options);
+            ASSERT_EQ(compiled.kernel_class(0), cls);
+
+            const StateVector input = random_state(width, rng);
+            StateVector aos = input;
+            compiled.apply(aos);
+            StateVector generic = input;
+            generic.apply_matrix(op.matrix(), op.qubits);
+
+            SoAState soa = SoAState::from_statevector(input);
+            const simd::SoaSpan span{soa.re(), soa.im(), soa.dim()};
+            const CompiledOp& cop = compiled.compiled_ops()[0];
+            const index_t groups = simd::group_count(cop, soa.dim());
+            const index_t split = groups / 3 + (groups > 1 ? 1 : 0);
+            const simd::KernelFn fn = table.fns[static_cast<std::size_t>(cls)];
+            fn(span, cop, 0, split);
+            fn(span, cop, split, groups);
+            StateVector vectorized(width);
+            soa.extract_to(vectorized);
+
+            expect_bits_equal(aos, vectorized);
+            expect_amps_equal(generic, vectorized);
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 3000u);
+}
+
+/// Every named gate at every qubit placement: the default engine (SIMD on)
+/// vs the interleaved scalar engine bit for bit, and vs the generic path ==.
+TEST(SimdKernels, EveryNamedGateBitForBit) {
   struct Case {
     GateKind kind;
     int arity;
@@ -353,6 +506,7 @@ TEST(SimdKernels, EveryNamedGateWithin1em12PerAmplitude) {
       const StateVector input = random_state(width, rng);
       EngineOptions scalar_options;
       scalar_options.fuse = false;
+      scalar_options.simd = false;
       StateVector scalar = input;
       compile_ops(ops, width, scalar_options).apply(scalar);
 
@@ -360,55 +514,66 @@ TEST(SimdKernels, EveryNamedGateWithin1em12PerAmplitude) {
       simd_options.simd = true;
       StateVector vectorized = input;
       const CompiledCircuit compiled = compile_ops(ops, width, simd_options);
-      ASSERT_NE(compiled.isa(), IsaLevel::Scalar);
+      EXPECT_EQ(compiled.isa(), simd::best_isa());
       compiled.apply(vectorized);
-      expect_amps_near(scalar, vectorized, kSimdTol);
+      expect_bits_equal(scalar, vectorized);
+
+      StateVector generic = input;
+      generic.apply_matrix(op.matrix(), op.qubits);
+      expect_amps_equal(generic, vectorized);
     }
   }
 }
 
-/// Whole random circuits through the SoA path, specialized and generic,
-/// with fusion and cache blocking in play.
-TEST(SimdKernels, RandomCircuitsWithin1em12PerAmplitude) {
-  if (!simd_available()) {
-    GTEST_SKIP() << "SIMD tiers unavailable; path pinned to bit-exact scalar";
-  }
+/// Whole random circuits of 3..12 qubits through the SoA path, fusion on
+/// and off, specialized and generic, with cache blocking in play: bit for
+/// bit equal to the interleaved scalar engine.
+TEST(SimdKernels, RandomCircuitsBitForBit) {
   Rng rng(67);
-  for (const bool specialize : {true, false}) {
-    for (int width = 2; width <= 10; ++width) {
-      circuit::RandomCircuitOptions rc;
-      rc.num_qubits = width;
-      rc.depth = 24;
-      const Circuit c = circuit::random_circuit(rc, rng);
+  for (const bool fuse : {true, false}) {
+    for (const bool specialize : {true, false}) {
+      for (int width = 3; width <= 12; ++width) {
+        circuit::RandomCircuitOptions rc;
+        rc.num_qubits = width;
+        rc.depth = 16;
+        const Circuit c = circuit::random_circuit(rc, rng);
 
-      EngineOptions scalar_options;
-      scalar_options.specialize = specialize;
-      StateVector scalar(width);
-      compile_circuit(c, scalar_options).apply(scalar);
+        EngineOptions scalar_options;
+        scalar_options.fuse = fuse;
+        scalar_options.specialize = specialize;
+        scalar_options.simd = false;
+        scalar_options.cache_block_qubits = 4;
+        StateVector scalar(width);
+        compile_circuit(c, scalar_options).apply(scalar);
 
-      EngineOptions simd_options = scalar_options;
-      simd_options.simd = true;
-      StateVector vectorized(width);
-      compile_circuit(c, simd_options).apply(vectorized);
-      expect_amps_near(scalar, vectorized, kSimdTol);
+        EngineOptions simd_options = scalar_options;
+        simd_options.simd = true;
+        StateVector vectorized(width);
+        compile_circuit(c, simd_options).apply(vectorized);
+        expect_bits_equal(scalar, vectorized);
+
+        SoAState native(width);  // the device's in-place layout
+        compile_circuit(c, simd_options).apply(native);
+        StateVector extracted(width);
+        native.extract_to(extracted);
+        expect_bits_equal(scalar, extracted);
+      }
     }
   }
 }
 
-/// SoA round-trip conversions are exact copies, and the scalar SoA tier
-/// stays within the SIMD tolerance budget of the interleaved reference.
-/// (It shares the vector tiers' accumulate-then-subtract code shape, whose
-/// rounding sequence differs from complex<double> arithmetic by ulps, so
-/// tolerance — not bit equality — is the contract. The bit-exact scalar
-/// path is apply(StateVector&), which engages whenever isa() == Scalar.)
-TEST(SimdKernels, ScalarTierMatchesWithin1em12ThroughSoA) {
+/// SoA round-trip conversions are exact copies, and a circuit compiled for
+/// the interleaved scalar engine (isa() == Scalar) applied to an SoAState
+/// runs the Scalar SoA tier — bit for bit equal to the interleaved kernels.
+TEST(SimdKernels, ScalarTierBitForBitThroughSoA) {
   Rng rng(71);
   circuit::RandomCircuitOptions rc;
   rc.num_qubits = 6;
   rc.depth = 20;
   const Circuit c = circuit::random_circuit(rc, rng);
 
-  EngineOptions options;  // simd off: isa() == Scalar
+  EngineOptions options;
+  options.simd = false;
   const CompiledCircuit compiled = compile_circuit(c, options);
   ASSERT_EQ(compiled.isa(), IsaLevel::Scalar);
 
@@ -419,21 +584,18 @@ TEST(SimdKernels, ScalarTierMatchesWithin1em12ThroughSoA) {
   SoAState soa(rc.num_qubits);
   compiled.apply(soa);
   soa.extract_to(via_soa);
-  expect_amps_near(direct, via_soa, kSimdTol);
+  expect_bits_equal(direct, via_soa);
 
   // The conversions themselves are exact: a pure round-trip is bit-equal.
   SoAState copy = SoAState::from_statevector(direct);
   StateVector back(rc.num_qubits);
   copy.extract_to(back);
-  expect_amps_equal(direct, back);
+  expect_bits_equal(direct, back);
 }
 
 /// SIMD results are thread-count and grain invariant too: chunk boundaries
 /// fall on group indices, and every group's arithmetic is independent.
 TEST(SimdKernels, ThreadAndGrainInvariance) {
-  if (!simd_available()) {
-    GTEST_SKIP() << "SIMD tiers unavailable; path pinned to bit-exact scalar";
-  }
   Rng rng(73);
   circuit::RandomCircuitOptions rc;
   rc.num_qubits = 10;
@@ -453,8 +615,8 @@ TEST(SimdKernels, ThreadAndGrainInvariance) {
   };
 
   const StateVector serial = run_with(nullptr, 27, 16384);
-  expect_amps_equal(serial, run_with(&pool, 2, 0));
-  expect_amps_equal(serial, run_with(&pool, 2, std::uint64_t{1} << 40));
+  expect_bits_equal(serial, run_with(&pool, 2, 0));
+  expect_bits_equal(serial, run_with(&pool, 2, std::uint64_t{1} << 40));
 }
 
 TEST(Fusion, MatchesUnfusedWithin1em12) {

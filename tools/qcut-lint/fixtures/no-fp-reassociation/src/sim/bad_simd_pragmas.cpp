@@ -1,6 +1,6 @@
 // Known-bad: the SIMD pragma/intrinsic surface — every way a kernel could
-// smuggle in reassociation or contraction without going through the
-// identity-bearing QCUT_SIMD path.
+// smuggle in reassociation or contraction, which would break the SIMD
+// tiers' bit-for-bit equality with the scalar engine.
 #include <vector>
 
 namespace fixture_bad_simd_pragmas {
@@ -39,6 +39,25 @@ double fma_intrinsic(double a, double b, double c) {
 double libm_fma(double a, double b, double c) {
   extern double fma(double, double, double);  // FIRE(no-fp-reassociation)
   return fma(a, b, c);                        // FIRE(no-fp-reassociation)
+}
+
+double negated_fma_intrinsics(double a, double b, double c) {
+  extern double _mm256_fnmadd_pd_lookalike(double, double, double);  // FIRE(no-fp-reassociation)
+  extern double _mm512_fnmsub_pd_lookalike(double, double, double);  // FIRE(no-fp-reassociation)
+  return _mm256_fnmadd_pd_lookalike(a, b, c) +                       // FIRE(no-fp-reassociation)
+         _mm512_fnmsub_pd_lookalike(a, b, c);                        // FIRE(no-fp-reassociation)
+}
+
+double std_and_builtin_fma(double a, double b, double c) {
+  return std::fma(a, b, c) + __builtin_fma(a, b, c);  // FIRE(no-fp-reassociation) FIRE(no-fp-reassociation)
+}
+
+// An FMA cannot be allowed: the annotation is well formed and justified,
+// and the finding still fires.
+double annotated_fma(double a, double b, double c) {
+  extern double _mm512_fmadd_pd_lookalike(double, double, double);  // FIRE(no-fp-reassociation)
+  // qcut-lint: allow(no-fp-reassociation) -- a*b+c contracted on purpose
+  return _mm512_fmadd_pd_lookalike(a, b, c);  // FIRE(no-fp-reassociation)
 }
 
 }  // namespace fixture_bad_simd_pragmas

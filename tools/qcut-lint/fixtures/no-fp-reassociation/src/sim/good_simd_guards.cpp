@@ -1,7 +1,6 @@
-// Known-good: the guarded SIMD surface — contraction explicitly off, the
-// identity-bearing FMA call sites annotated the way the real kernels
-// (sim/simd_kernels_avx*.cpp) annotate theirs, and wrapper names that stay
-// clear of the intrinsic vocabulary.
+// Known-good: the guarded SIMD surface — contraction explicitly off, and
+// the kernel-tier idiom of separate multiply and add wrappers, whose names
+// stay clear of the intrinsic vocabulary.
 #include <vector>
 
 namespace fixture_good_simd_guards {
@@ -15,20 +14,18 @@ double strict_dot(const std::vector<double>& a, const std::vector<double>& b) {
   return total;
 }
 
-// qcut-lint: allow(no-fp-reassociation) -- declaration of the contracted intrinsic the wrapper guards
-extern double _mm256_fmadd_pd_lookalike(double, double, double);
+extern double _mm256_mul_pd_lookalike(double, double);
+extern double _mm256_add_pd_lookalike(double, double);
 
-// The kernel-tier idiom: the intrinsic appears once, annotated, inside a
-// wrapper whose name (madd, not fmadd) keeps every other call site clean.
-double madd(double a, double b, double c) {
-  // qcut-lint: allow(no-fp-reassociation) -- a*b+c contracted on the identity-bearing SIMD path
-  return _mm256_fmadd_pd_lookalike(a, b, c);
-}
+// The kernel-tier idiom: a*b+c as two roundings, exactly as the scalar
+// engine computes it.
+double mul(double a, double b) { return _mm256_mul_pd_lookalike(a, b); }
+double add(double a, double b) { return _mm256_add_pd_lookalike(a, b); }
 
 double kernel_body(const std::vector<double>& a, const std::vector<double>& b) {
   // Comments naming fma, _mm512_fmadd_pd or #pragma omp simd must not fire.
   double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc = madd(a[i], b[i], acc);
+  for (std::size_t i = 0; i < a.size(); ++i) acc = add(acc, mul(a[i], b[i]));
   return acc;
 }
 

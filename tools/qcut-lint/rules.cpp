@@ -268,11 +268,21 @@ std::vector<char> compute_gated(const std::vector<Token>& toks) {
 
 struct PendingViolation {
   Violation v;
+  bool suppressible = true;  // false: no allow() annotation can silence it
 };
 
 void emit(std::vector<PendingViolation>& out, const SourceFile& file, int line,
-          const std::string& rule, const std::string& message) {
-  out.push_back({Violation{file.path, line, rule, message}});
+          const std::string& rule, const std::string& message, bool suppressible = true) {
+  out.push_back({Violation{file.path, line, rule, message}, suppressible});
+}
+
+/// FMA intrinsics and library calls: _mm*_fmadd_pd/_fmsub/_fnmadd/_fnmsub
+/// (and their addsub/subadd variants), fma/fmaf/fmal (std:: or not) and
+/// the __builtin_fma family.
+bool is_fma_name(const std::string& name) {
+  return contains_ci(name, "fmadd") || contains_ci(name, "fmsub") ||
+         contains_ci(name, "fnmadd") || contains_ci(name, "fnmsub") || name == "fma" ||
+         name == "fmaf" || name == "fmal" || name.rfind("__builtin_fma", 0) == 0;
 }
 
 }  // namespace
@@ -429,20 +439,19 @@ std::vector<Violation> analyze(const std::vector<SourceFile>& files,
           !contains_ci(t.text, "off")) {
         emit(pending, file, t.line, "no-fp-reassociation",
              "'-ffp-contract' other than 'off' licenses FMA contraction per function; "
-             "contraction is identity-bearing and belongs on the SIMD source files "
-             "(QCUT_SIMD), not in attributes");
+             "contracted arithmetic is not bit-for-bit equal to the scalar engine");
       }
-      // FMA intrinsics contract a*b+c into one rounding — exactly the
-      // deviation the SIMD path declares through Backend::identity(). Any
-      // use outside that path (or without an allow annotation naming it)
-      // silently changes results.
-      if (t.kind == TokKind::Identifier &&
-          (contains_ci(t.text, "fmadd") || contains_ci(t.text, "fmsub") ||
-           t.text == "fma" || t.text == "fmaf" || t.text == "fmal")) {
+      // FMA intrinsics round a*b+c once where the scalar engine rounds
+      // twice. Every SIMD tier is bit-for-bit equal to the scalar kernels,
+      // and no cache identity records an FMA path, so no use is allowed:
+      // an allow() annotation does not silence this finding.
+      if (t.kind == TokKind::Identifier && is_fma_name(t.text)) {
         emit(pending, file, t.line, "no-fp-reassociation",
              "FMA ('" + t.text +
-                 "') fuses multiply-add into one rounding; keep it on the "
-                 "identity-bearing SIMD path and annotate the call site");
+                 "') fuses multiply-add into one rounding, so the result differs from the "
+                 "scalar engine's; write the multiply and the add separately (no "
+                 "annotation can allow this)",
+             /*suppressible=*/false);
       }
       if (t.kind == TokKind::Preprocessor) {
         const bool fp_contract_on =
@@ -505,15 +514,13 @@ std::vector<Violation> analyze(const std::vector<SourceFile>& files,
 
     for (const PendingViolation& p : pending) {
       if (options.disabled_rules.count(p.v.rule)) continue;
-      bool suppressed = false;
-      for (const Allow& allow : file.allows) {
-        if (allow.malformed || allow.justification.empty()) continue;
-        if (!allow.rules.count(p.v.rule)) continue;
-        if (allow.line == p.v.line || annotation_target(allow.line) == p.v.line) {
-          suppressed = true;
-          break;
-        }
-      }
+      const bool suppressed =
+          p.suppressible &&
+          std::any_of(file.allows.begin(), file.allows.end(), [&](const Allow& allow) {
+            return !allow.malformed && !allow.justification.empty() &&
+                   allow.rules.count(p.v.rule) > 0 &&
+                   (allow.line == p.v.line || annotation_target(allow.line) == p.v.line);
+          });
       if (!suppressed) result.push_back(p.v);
     }
   }
