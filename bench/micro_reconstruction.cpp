@@ -7,6 +7,8 @@
 #include "common/stopwatch.hpp"
 #include <span>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "backend/statevector_backend.hpp"
 #include "circuit/random.hpp"
@@ -60,6 +62,64 @@ void BM_ReconstructGolden(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReconstructGolden)->Arg(5)->Arg(7)->Arg(9)->Arg(11);
+
+/// 3-fragment brick chain with `cuts` wires per boundary: qubits [0, cuts),
+/// then all `width` qubits, then the top `cuts` qubits.
+std::pair<circuit::Circuit, std::vector<std::vector<circuit::WirePoint>>> brick_chain(int width,
+                                                                                     int cuts) {
+  circuit::Circuit c(width);
+  const auto cut_after = [&c](int q) {
+    std::size_t last = 0;
+    for (std::size_t i = 0; i < c.num_ops(); ++i) {
+      if (c.op(i).acts_on(q)) last = i;
+    }
+    return circuit::WirePoint{q, last};
+  };
+  std::vector<std::vector<circuit::WirePoint>> boundaries(2);
+  for (int q = 0; q < cuts; ++q) c.ry(0.3 + 0.1 * q, q);
+  for (int q = 0; q + 1 < cuts; ++q) c.cx(q, q + 1);
+  for (int q = 0; q < cuts; ++q) boundaries[0].push_back(cut_after(q));
+  for (int layer = 0; layer < 3; ++layer) {
+    for (int q = 0; q < width; ++q) c.ry(0.1 * (q + 1) + 0.7 * layer, q);
+    for (int q = layer % 2; q + 1 < width; q += 2) c.cx(q, q + 1);
+  }
+  for (int q = width - cuts; q < width; ++q) boundaries[1].push_back(cut_after(q));
+  for (int q = width - cuts; q < width; ++q) c.ry(0.9, q);
+  for (int q = width - cuts; q + 1 < width; ++q) c.cx(q, q + 1);
+  return {std::move(c), std::move(boundaries)};
+}
+
+/// Chain reconstruction on both sides of kMinParallelReconstructionWork
+/// (work estimates: 12x1 about 2^17.6, 8x2 about 2^18.3, 10x2 about
+/// 2^20.3), contracted on the global pool (threads = 0) or on a 1-worker
+/// pool, which runs every chunk on the calling thread. Below the threshold
+/// both run inline; above it the gap is the pool's wall-time gain.
+void BM_ReconstructChain(benchmark::State& state) {
+  const auto [c, boundaries] =
+      brick_chain(static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
+  const cutting::FragmentGraph graph = cutting::make_fragment_chain(c, boundaries);
+  const cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(graph);
+  backend::StatevectorBackend backend(5);
+  cutting::ExecutionOptions exec;
+  exec.exact = true;
+  const cutting::ChainFragmentData data = cutting::execute_chain(graph, spec, backend, exec);
+  parallel::ThreadPool one(1);
+  cutting::ReconstructionOptions options;
+  if (state.range(2) == 1) options.pool = &one;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        cutting::reconstruct_distribution(graph, data, spec, options).raw_probabilities.data());
+  }
+}
+BENCHMARK(BM_ReconstructChain)
+    ->ArgNames({"width", "cuts", "threads"})
+    ->Args({12, 1, 0})
+    ->Args({12, 1, 1})
+    ->Args({8, 2, 0})
+    ->Args({8, 2, 1})
+    ->Args({10, 2, 0})
+    ->Args({10, 2, 1})
+    ->UseRealTime();
 
 void BM_FragmentExecutionStandard(benchmark::State& state) {
   Rng rng(12);

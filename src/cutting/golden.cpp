@@ -142,10 +142,14 @@ const sim::Device& upstream_device() {
   return *device;
 }
 
-/// The nonzero entries of one kron'd (Pauli, context) operator, listed in
-/// linalg::trace_of_product's (i, k) summation order as (conditional
-/// index, value): entry (i, k) multiplies conditional(i, k) by op(k, i).
-using SparseOperator = std::vector<std::pair<index_t, linalg::cx>>;
+/// One nonzero entry of a kron'd (Pauli, context) operator, in
+/// linalg::trace_of_product's (i, c) summation order: it multiplies the
+/// conditional entry a[i] * conj(a[c]) by op(c, i).
+struct OperatorEntry {
+  index_t i;
+  index_t c;
+  linalg::cx value;
+};
 
 }  // namespace
 
@@ -163,19 +167,38 @@ GoldenDetectionReport detect_golden_exact(const Bipartition& bp, double tol) {
   const index_t out_dim = pow2(static_cast<int>(out_qubits.size()));
   const index_t cut_dim = pow2(num_cuts);
 
+  // The cut amplitudes conditioned on each upstream output bitstring b1,
+  // gathered once: cut_amps[b1 * cut_dim + c]. The (unnormalized) cut-qubit
+  // density matrix of b1 is conditional(i, c) = a[i] * conj(a[c]); it is
+  // formed entry by entry where an operator needs it, never stored.
+  std::vector<linalg::cx> cut_amps(out_dim * cut_dim);
+  std::vector<index_t> cut_offsets(cut_dim);
+  for (index_t c = 0; c < cut_dim; ++c) cut_offsets[c] = scatter_bits(c, cut_qubits);
+  for (index_t b1 = 0; b1 < out_dim; ++b1) {
+    const index_t base = scatter_bits(b1, out_qubits);
+    for (index_t c = 0; c < cut_dim; ++c) cut_amps[b1 * cut_dim + c] = amps[base | cut_offsets[c]];
+  }
+
   // Context combinations: each other cut takes one of the six projectors.
   std::uint64_t num_contexts = 1;
   for (int j = 0; j + 1 < num_cuts; ++j) num_contexts *= kNumPrepStates;
 
-  // Every (cut k, Pauli p, context) operator, kron'd once with slot 0 as the
-  // least significant index bit: cut k carries the Pauli, the other cuts
-  // the context's projectors. Zero entries are dropped: adding an exact
-  // zero term cannot change the value of tr(conditional * op).
-  std::vector<SparseOperator> ops;
-  ops.reserve(static_cast<std::size_t>(num_cuts) * 4 * num_contexts);
+  GoldenDetectionReport report;
+  report.violation.assign(static_cast<std::size_t>(num_cuts), {0.0, 0.0, 0.0, 0.0});
+  report.golden.assign(static_cast<std::size_t>(num_cuts), {false, false, false, false});
+
+  // One (cut k, Pauli p, context) operator at a time, kron'd with slot 0 as
+  // the least significant index bit (cut k carries the Pauli, the other
+  // cuts the context's projectors), then one pass over every b1 updating
+  // the (k, p) maximum of |tr(conditional * op)|. Zero entries are dropped:
+  // adding an exact zero term cannot change the trace's value.
   std::vector<linalg::CMat> slot(static_cast<std::size_t>(num_cuts));
+  std::vector<OperatorEntry> entries;
+  entries.reserve(cut_dim * cut_dim);
   for (int k = 0; k < num_cuts; ++k) {
     for (Pauli p : linalg::kAllPaulis) {
+      double& violation =
+          report.violation[static_cast<std::size_t>(k)][static_cast<std::size_t>(p)];
       for (std::uint64_t ctx = 0; ctx < num_contexts; ++ctx) {
         std::uint64_t rest = ctx;
         for (int j = 0; j < num_cuts; ++j) {
@@ -191,45 +214,16 @@ GoldenDetectionReport detect_golden_exact(const Bipartition& bp, double tol) {
         for (int j = num_cuts - 2; j >= 0; --j) {
           op = linalg::kron(op, slot[static_cast<std::size_t>(j)]);
         }
-        SparseOperator& sparse = ops.emplace_back();
+        entries.clear();
         for (index_t i = 0; i < cut_dim; ++i) {
           for (index_t c = 0; c < cut_dim; ++c) {
-            if (op(c, i) != linalg::cx{0.0, 0.0}) sparse.emplace_back(i * cut_dim + c, op(c, i));
+            if (op(c, i) != linalg::cx{0.0, 0.0}) entries.push_back({i, c, op(c, i)});
           }
         }
-      }
-    }
-  }
-
-  GoldenDetectionReport report;
-  report.violation.assign(static_cast<std::size_t>(num_cuts), {0.0, 0.0, 0.0, 0.0});
-  report.golden.assign(static_cast<std::size_t>(num_cuts), {false, false, false, false});
-
-  // One pass over the upstream output bitstrings b1: the cut amplitudes
-  // conditioned on b1 give the (unnormalized) cut-qubit density matrix
-  // conditional(c, c') = a[c] * conj(a[c']), and every operator's
-  // |tr(conditional * op)| updates its (cut, Pauli) maximum. The max is
-  // order-independent, so the violations equal a per-(cut, Pauli) scan.
-  std::vector<index_t> cut_offsets(cut_dim);
-  for (index_t c = 0; c < cut_dim; ++c) cut_offsets[c] = scatter_bits(c, cut_qubits);
-  std::vector<linalg::cx> cut_amps(cut_dim);
-  std::vector<linalg::cx> conditional(cut_dim * cut_dim);
-  for (index_t b1 = 0; b1 < out_dim; ++b1) {
-    const index_t base = scatter_bits(b1, out_qubits);
-    for (index_t c = 0; c < cut_dim; ++c) cut_amps[c] = amps[base | cut_offsets[c]];
-    for (index_t c = 0; c < cut_dim; ++c) {
-      for (index_t cp = 0; cp < cut_dim; ++cp) {
-        conditional[c * cut_dim + cp] = cut_amps[c] * std::conj(cut_amps[cp]);
-      }
-    }
-    std::size_t o = 0;
-    for (int k = 0; k < num_cuts; ++k) {
-      for (Pauli p : linalg::kAllPaulis) {
-        double& violation =
-            report.violation[static_cast<std::size_t>(k)][static_cast<std::size_t>(p)];
-        for (std::uint64_t ctx = 0; ctx < num_contexts; ++ctx, ++o) {
+        for (index_t b1 = 0; b1 < out_dim; ++b1) {
+          const linalg::cx* a = &cut_amps[b1 * cut_dim];
           linalg::cx trace{0.0, 0.0};
-          for (const auto& [index, value] : ops[o]) trace += conditional[index] * value;
+          for (const OperatorEntry& e : entries) trace += (a[e.i] * std::conj(a[e.c])) * e.value;
           violation = std::max(violation, std::abs(trace));
         }
       }

@@ -596,14 +596,6 @@ double reconstruct_probability_of(const FragmentGraph& graph, const ChainFragmen
   return total;
 }
 
-std::uint64_t chain_reconstruction_work(const FragmentGraph& graph,
-                                        const ChainNeglectSpec& spec) {
-  QCUT_CHECK(spec.num_boundaries() == graph.num_boundaries(),
-             "chain_reconstruction_work: spec boundary count must match the graph");
-  const ChainLayout layout(graph);
-  return build_term_tables(layout, spec).work(layout);
-}
-
 double reconstruct_diagonal_expectation(const FragmentGraph& graph,
                                         const ChainFragmentData& data,
                                         const ChainNeglectSpec& spec,

@@ -73,18 +73,20 @@ struct ReconstructionResult {
 // u_M (x) v_M outer product above, operation for operation.
 
 /// Chain reconstruction fans out over the pool only when its work estimate
-/// (chain_reconstruction_work) reaches this many multiply-adds — a few
-/// hundred microseconds of one core. Below it, fragment tensors and terms run inline
-/// on the calling thread, where pool dispatch would cost more CPU than it
-/// saves wall time. The term chunking depends on the term count alone, so
-/// results are bit-for-bit equal on both sides of the threshold.
+/// reaches this many multiply-adds: outcomes x active terms, plus one pass
+/// over each fragment distribution per fragment tensor and incoming
+/// eigenstate slot. Below it, tensors and terms run inline on the calling
+/// thread. Measured on 3-fragment brick chains (1-3 cut wires per boundary,
+/// 6-16 qubits, exact data; always-inline vs always-pooled builds on a
+/// 4-vCPU AVX-512 KVM guest, medians of 5 alternating runs), the pool's
+/// wall time crosses the inline path's between 2^17.3 (1.15x slower) and
+/// 2^17.6 (0.76x); at 2^18.3-2^22.3 the pool was 1.2-3.2x faster for
+/// 1.0-1.7x the CPU, and below 2^17.3 it cost 2.1-3.2x the CPU for no gain.
+/// 2^18 keeps the marginal region, where the pool saves under a quarter of
+/// the wall time for two thirds more CPU, inline. The term chunking depends
+/// on the term count alone, so results are bit-for-bit equal on both sides
+/// of the threshold.
 inline constexpr std::uint64_t kMinParallelReconstructionWork = std::uint64_t{1} << 18;
-
-/// The chain contraction's work estimate: outcomes x active terms, plus one
-/// pass over each fragment distribution per fragment tensor and incoming
-/// eigenstate slot.
-[[nodiscard]] std::uint64_t chain_reconstruction_work(const FragmentGraph& graph,
-                                                      const ChainNeglectSpec& spec);
 
 /// Contracts chain fragment data into the distribution of the uncut
 /// circuit. The data must contain every variant the active terms need.

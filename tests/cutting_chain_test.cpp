@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 
 #include "backend/statevector_backend.hpp"
 #include "circuit/random.hpp"
@@ -15,6 +16,7 @@
 #include "cutting/reconstructor.hpp"
 #include "cutting/variants.hpp"
 #include "sim/statevector.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace qcut::cutting {
 namespace {
@@ -150,12 +152,34 @@ TEST(ChainCutting, ProbabilityOfAndDiagonalExpectationAgreeWithDistribution) {
   EXPECT_NEAR(reconstruct_diagonal_expectation(graph, data, spec, diagonal), folded, 1e-12);
 }
 
+/// Tasks the thread pools ran while `fn` executed: zero when a chain
+/// reconstruction stayed inline.
+std::uint64_t pool_tasks_during(const std::function<void()>& fn) {
+  const auto tasks = [] {
+    return telemetry::MetricsRegistry::global().snapshot().counter_value("pool.tasks");
+  };
+  const std::uint64_t before = tasks();
+  fn();
+  return tasks() - before;
+}
+
 /// Chain reconstruction runs inline below kMinParallelReconstructionWork and
-/// fans out over the pool at or above it. On both sides the result is bit
-/// for bit the same at every pool size, including a single-worker pool
-/// (which never dispatches), with and without golden neglect; and at N=2 it
-/// equals the Bipartition path, whose accumulation always takes the pool.
+/// fans out over the pool at or above it; the pool's task counter shows
+/// which side each case is on. The small cases (a 5-qubit 2-fragment chain,
+/// chain5) have work estimates of about 2^10; the wide ones (a 15-qubit
+/// 2-cut ansatz and a 14-qubit brick chain) above 2^19. On both sides the
+/// result is bit for bit the same at every pool size, including a
+/// single-worker pool (which never dispatches), with and without golden
+/// neglect; and at N=2 it equals the Bipartition path, whose accumulation
+/// always takes the pool.
 TEST(ChainCutting, InlineAndPooledReconstructionAgreeAcrossTheWorkThreshold) {
+  parallel::ThreadPool one(1);
+  parallel::ThreadPool three(3);
+  ReconstructionOptions serial;
+  serial.pool = &one;
+  ReconstructionOptions pooled;
+  pooled.pool = &three;
+
   {
     Rng rng(31);
     circuit::GoldenAnsatzOptions small_options;
@@ -174,16 +198,20 @@ TEST(ChainCutting, InlineAndPooledReconstructionAgreeAcrossTheWorkThreshold) {
       const FragmentGraph graph = make_fragment_graph(*c, cuts);
       const NeglectSpec spec = NeglectSpec::none(bp.num_cuts());
       const ChainNeglectSpec chain_spec{{spec}};
-      EXPECT_EQ(chain_reconstruction_work(graph, chain_spec) >= kMinParallelReconstructionWork,
-                i == 1);
       ExecutionOptions exec;
       exec.shots_per_variant = 1000;
       backend::StatevectorBackend direct_backend(3);
       const FragmentData direct = execute_fragments(bp, spec, direct_backend, exec);
       backend::StatevectorBackend chain_backend(3);
       const ChainFragmentData data = execute_chain(graph, chain_spec, chain_backend, exec);
-      EXPECT_EQ(reconstruct_distribution(graph, data, chain_spec).raw_probabilities,
-                reconstruct_distribution(bp, direct, spec).raw_probabilities)
+      std::vector<double> chained;
+      EXPECT_EQ(pool_tasks_during([&] {
+                  chained = reconstruct_distribution(graph, data, chain_spec, pooled)
+                                .raw_probabilities;
+                }) > 0,
+                i == 1)
+          << "two-fragment case " << i;
+      EXPECT_EQ(chained, reconstruct_distribution(bp, direct, spec).raw_probabilities)
           << "two-fragment case " << i;
     }
   }
@@ -194,30 +222,25 @@ TEST(ChainCutting, InlineAndPooledReconstructionAgreeAcrossTheWorkThreshold) {
       std::pair{chain5(), chain5_boundaries()}, std::pair{wide, wide_boundaries}};
   const std::array<bool, 2> above_threshold = {false, true};
 
-  parallel::ThreadPool one(1);
-  parallel::ThreadPool three(3);
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const auto& [c, boundaries] = cases[i];
     const FragmentGraph graph = make_fragment_chain(c, boundaries);
     const std::array<ChainNeglectSpec, 2> specs = {
         ChainNeglectSpec::none(graph), ChainNeglectSpec{detect_chain_golden_specs(c, boundaries)}};
     for (const ChainNeglectSpec& spec : specs) {
-      EXPECT_EQ(chain_reconstruction_work(graph, spec) >= kMinParallelReconstructionWork,
-                above_threshold[i])
-          << "case " << i;
       backend::StatevectorBackend backend(5);
       ExecutionOptions exec;
       exec.shots_per_variant = 2000;
       const ChainFragmentData data = execute_chain(graph, spec, backend, exec);
 
-      ReconstructionOptions serial;
-      serial.pool = &one;
-      ReconstructionOptions pooled;
-      pooled.pool = &three;
       const ReconstructionResult reference = reconstruct_distribution(graph, data, spec, serial);
-      EXPECT_EQ(reconstruct_distribution(graph, data, spec, pooled).raw_probabilities,
-                reference.raw_probabilities)
+      std::vector<double> fanned;
+      EXPECT_EQ(pool_tasks_during([&] {
+                  fanned = reconstruct_distribution(graph, data, spec, pooled).raw_probabilities;
+                }) > 0,
+                above_threshold[i])
           << "case " << i;
+      EXPECT_EQ(fanned, reference.raw_probabilities) << "case " << i;
       EXPECT_EQ(reconstruct_distribution(graph, data, spec).raw_probabilities,
                 reference.raw_probabilities)
           << "case " << i;

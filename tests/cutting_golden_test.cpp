@@ -309,9 +309,9 @@ TEST(DetectExact, EntangledRealBlocksAreNotPerCutGolden) {
   EXPECT_GT(report.violation[0][static_cast<std::size_t>(Pauli::Y)], 0.1);
 }
 
-/// The engine-based one-pass detector reproduces the original detector's
-/// violations bit for bit (==, not within a tolerance) on golden and
-/// generic upstream fragments with 1 to 3 cuts.
+/// The engine-based detector reproduces the original detector's violations
+/// bit for bit (==, not within a tolerance) on golden and generic upstream
+/// fragments with 1 to 3 and 5 cuts.
 TEST(DetectExact, MatchesReferenceImplementationBitForBit) {
   std::vector<Bipartition> cases;
   for (int n : {5, 7, 9}) {
@@ -350,6 +350,28 @@ TEST(DetectExact, MatchesReferenceImplementationBitForBit) {
     c.cx(up - 1, up).h(up + 1).cx(up, up + 1);
     const std::array<circuit::WirePoint, 1> cuts = {circuit::WirePoint{up - 1, last}};
     cases.push_back(make_bipartition(c, cuts));
+  }
+  // Five cuts (1296 contexts per cut and Pauli) on a generic 6-qubit
+  // upstream block: wires 0..4 are cut after their last upstream gate and
+  // wire 5 is the single upstream output.
+  {
+    Rng rng(57);
+    circuit::RandomCircuitOptions rc;
+    rc.depth = 3;
+    const std::vector<int> upstream = {0, 1, 2, 3, 4, 5};
+    circuit::Circuit c = circuit::random_circuit_on(rc, upstream, 8, rng);
+    std::vector<circuit::WirePoint> cuts;
+    for (int q = 0; q < 5; ++q) {
+      std::size_t last = 0;
+      for (std::size_t i = 0; i < c.num_ops(); ++i) {
+        if (c.op(i).acts_on(q)) last = i;
+      }
+      cuts.push_back(circuit::WirePoint{q, last});
+    }
+    c.cx(0, 6).cx(1, 6).cx(2, 7).cx(3, 7).cx(4, 7).cx(6, 7);
+    cases.push_back(make_bipartition(c, cuts));
+    ASSERT_EQ(cases.back().num_cuts(), 5);
+    ASSERT_EQ(cases.back().f1_width(), 6);
   }
   for (const Bipartition& bp : cases) {
     SCOPED_TRACE("f1 width " + std::to_string(bp.f1_width()) + ", cuts " +
