@@ -7,13 +7,18 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdio>
 #include <functional>
+#include <span>
+#include <utility>
 
 #include "backend/statevector_backend.hpp"
 #include "circuit/random.hpp"
 #include "cutting/fragment_executor.hpp"
 #include "cutting/golden.hpp"
 #include "cutting/reconstructor.hpp"
+#include "cutting/uncertainty.hpp"
 #include "cutting/variants.hpp"
 #include "sim/statevector.hpp"
 #include "telemetry/metrics.hpp"
@@ -348,6 +353,128 @@ TEST(ChainCutting, VariantCircuitsMatchLegacyVariants) {
       EXPECT_EQ(chain.op(i).params, legacy.op(i).params);
     }
   }
+}
+
+/// 64-bit FNV-1a over the bytes of `values`: changes with any bit of any
+/// entry, so equal hashes mean bit-for-bit equal vectors.
+std::uint64_t fnv1a(const std::vector<double>& values) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (double value : values) {
+    for (unsigned char byte : std::bit_cast<std::array<unsigned char, sizeof(double)>>(value)) {
+      hash ^= byte;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+struct PinnedRun {
+  std::uint64_t hash = 0;
+  std::uint64_t terms = 0;
+  std::uint64_t total_jobs = 0;
+  std::uint64_t total_shots = 0;
+
+  friend bool operator==(const PinnedRun&, const PinnedRun&) = default;
+  friend void PrintTo(const PinnedRun& run, std::ostream* os) {
+    char buffer[128];
+    std::snprintf(buffer, sizeof(buffer), "{0x%016llxull, %llu, %llu, %llu}",
+                  static_cast<unsigned long long>(run.hash),
+                  static_cast<unsigned long long>(run.terms),
+                  static_cast<unsigned long long>(run.total_jobs),
+                  static_cast<unsigned long long>(run.total_shots));
+    *os << buffer;
+  }
+};
+
+/// Executes and reconstructs one two-fragment cut.
+PinnedRun run_two_fragment(const Circuit& c, std::span<const WirePoint> cuts,
+                           const NeglectSpec& spec, const ExecutionOptions& exec) {
+  const Bipartition bp = make_bipartition(c, cuts);
+  backend::StatevectorBackend backend(9);
+  const FragmentData data = execute_fragments(bp, spec, backend, exec);
+  const ReconstructionResult result = reconstruct_distribution(bp, data, spec);
+  return PinnedRun{fnv1a(result.raw_probabilities), result.terms, data.total_jobs,
+                   data.total_shots};
+}
+
+/// Bootstrap of a sampled two-fragment cut: the expectation's uncertainty
+/// and the distribution band.
+std::pair<ExpectationUncertainty, DistributionUncertainty> bootstrap_two_fragment(
+    const Circuit& c, std::span<const WirePoint> cuts, const NeglectSpec& spec,
+    const ExecutionOptions& exec, const DiagonalObservable& observable,
+    const BootstrapOptions& options) {
+  const Bipartition bp = make_bipartition(c, cuts);
+  backend::StatevectorBackend backend(9);
+  const FragmentData data = execute_fragments(bp, spec, backend, exec);
+  return {bootstrap_expectation(bp, data, spec, observable, options),
+          bootstrap_distribution(bp, data, spec, options)};
+}
+
+/// Two-fragment results pinned to the values the historical Bipartition
+/// pipeline produced: raw distributions (by hash), term counts, job and
+/// shot totals, and bootstrap replicas at a fixed seed. Any change to the
+/// variant circuits, seed streams, shot plan, contraction arithmetic or
+/// bootstrap RNG order moves at least one pin.
+TEST(ChainCutting, TwoFragmentResultsArePinned) {
+  Rng rng(17);
+  circuit::GoldenAnsatzOptions options;
+  options.num_qubits = 5;
+  const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
+  const std::array<WirePoint, 1> cuts = {ansatz.cut};
+  NeglectSpec golden(1);
+  golden.neglect(0, ansatz.golden_basis);
+
+  // {none, golden} x {exact, 1000 shots}; prefix batching must not move a bit.
+  const std::array<PinnedRun, 4> expected = {
+      PinnedRun{0x8bcfe910ac3190f4ull, 4, 9, 0},
+      PinnedRun{0x18976896b84ecbe2ull, 4, 9, 9000},
+      PinnedRun{0x8bcfe910ac3190f4ull, 3, 6, 0},
+      PinnedRun{0xcb1af5ebf821edf2ull, 3, 6, 6000},
+  };
+  std::size_t index = 0;
+  for (const NeglectSpec& spec : {NeglectSpec::none(1), golden}) {
+    for (const bool exact : {true, false}) {
+      for (const bool batched : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "case " << index << " batched " << batched);
+        ExecutionOptions exec;
+        exec.exact = exact;
+        exec.shots_per_variant = 1000;
+        exec.prefix_batching = batched;
+        EXPECT_EQ(run_two_fragment(ansatz.circuit, cuts, spec, exec), expected[index]);
+      }
+      ++index;
+    }
+  }
+
+  // Two cuts under string-level odd-Y neglect, with a total shot budget.
+  circuit::MultiCutAnsatzOptions multi_options;
+  multi_options.num_cuts = 2;
+  multi_options.block_width = 2;
+  const circuit::MultiCutAnsatz multi = circuit::make_multi_cut_golden_ansatz(multi_options, rng);
+  ExecutionOptions budget;
+  budget.shots_per_variant = 0;
+  budget.total_shot_budget = 7001;
+  EXPECT_EQ(run_two_fragment(multi.circuit, multi.cuts, neglect_odd_y_strings(2), budget),
+            (PinnedRun{0x31cccfc5fe492d99ull, 10, 25, 7001}));
+
+  // Bootstrap replicas at a fixed seed.
+  ExecutionOptions sampled;
+  sampled.shots_per_variant = 1000;
+  BootstrapOptions boot;
+  boot.replicas = 40;
+  boot.seed = 2024;
+  const auto [expectation, band] =
+      bootstrap_two_fragment(ansatz.circuit, cuts, golden, sampled,
+                             DiagonalObservable::parity(ansatz.circuit.num_qubits()), boot);
+  EXPECT_EQ(expectation.estimate, -0x1.514a0a0f4d7aep-4);
+  EXPECT_EQ(expectation.standard_error, 0x1.c534ae203d216p-6);
+  EXPECT_EQ(expectation.ci_lower, -0x1.0a775246f4b11p-3);
+  EXPECT_EQ(expectation.ci_upper, -0x1.310df4b549226p-5);
+  std::vector<double> bands = band.mean;
+  for (const std::vector<double>* part : {&band.standard_error, &band.ci_lower, &band.ci_upper}) {
+    bands.insert(bands.end(), part->begin(), part->end());
+  }
+  EXPECT_EQ(fnv1a(bands), 0x84dd1fc6250f1676ull);
 }
 
 }  // namespace
