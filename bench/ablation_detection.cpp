@@ -44,17 +44,19 @@ DetectionStats run_detection(std::size_t shots) {
     options.num_qubits = 5;
     const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
     const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-    const cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, cuts);
+    const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
 
     backend::StatevectorBackend backend(2000 + static_cast<std::uint64_t>(i));
     cutting::ExecutionOptions exec;
     exec.shots_per_variant = shots;
-    const cutting::FragmentData data =
-        cutting::execute_upstream_only(bp, cutting::NeglectSpec::none(1), backend, exec);
+    const cutting::ChainFragmentData data = cutting::execute_chain(
+        graph, cutting::ChainNeglectSpec::none(graph), backend, exec);
     std::vector<std::vector<double>> upstream;
-    for (std::uint32_t s = 0; s < 3; ++s) upstream.push_back(data.upstream_distribution(s));
+    for (std::uint32_t s = 0; s < 3; ++s) {
+      upstream.push_back(data.distribution(0, cutting::FragmentVariantKey{0, s}));
+    }
     const cutting::GoldenDetectionReport report =
-        cutting::detect_golden_from_counts(bp, upstream, shots);
+        cutting::detect_golden_from_counts(graph, upstream, shots);
 
     if (report.golden[0][static_cast<std::size_t>(ansatz.golden_basis)]) {
       ++stats.true_positives;
@@ -75,19 +77,21 @@ DetectionStats run_detection(std::size_t shots) {
     }
     c.cx(2, 3).cx(3, 4);
     const std::array<circuit::WirePoint, 1> cuts = {circuit::WirePoint{2, cut_after}};
-    const cutting::Bipartition bp = cutting::make_bipartition(c, cuts);
+    const cutting::FragmentGraph graph = cutting::make_fragment_graph(c, cuts);
 
-    const cutting::GoldenDetectionReport exact = cutting::detect_golden_exact(bp, 1e-9);
+    const cutting::GoldenDetectionReport exact = cutting::detect_golden_exact(graph, 1e-9);
 
     backend::StatevectorBackend backend(4000 + static_cast<std::uint64_t>(i));
     cutting::ExecutionOptions exec;
     exec.shots_per_variant = shots;
-    const cutting::FragmentData data =
-        cutting::execute_upstream_only(bp, cutting::NeglectSpec::none(1), backend, exec);
+    const cutting::ChainFragmentData data = cutting::execute_chain(
+        graph, cutting::ChainNeglectSpec::none(graph), backend, exec);
     std::vector<std::vector<double>> upstream;
-    for (std::uint32_t s = 0; s < 3; ++s) upstream.push_back(data.upstream_distribution(s));
+    for (std::uint32_t s = 0; s < 3; ++s) {
+      upstream.push_back(data.distribution(0, cutting::FragmentVariantKey{0, s}));
+    }
     const cutting::GoldenDetectionReport online =
-        cutting::detect_golden_from_counts(bp, upstream, shots);
+        cutting::detect_golden_from_counts(graph, upstream, shots);
 
     for (linalg::Pauli p : {linalg::Pauli::X, linalg::Pauli::Y, linalg::Pauli::Z}) {
       if (exact.violation[0][static_cast<std::size_t>(p)] < 0.02) continue;  // near-golden

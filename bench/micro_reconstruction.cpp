@@ -21,8 +21,8 @@ using namespace qcut;
 
 struct Fixture {
   circuit::GoldenAnsatz ansatz;
-  cutting::Bipartition bp;
-  cutting::FragmentData data;
+  cutting::FragmentGraph graph;
+  cutting::ChainFragmentData data;
 
   static Fixture make(int num_qubits) {
     Rng rng(11);
@@ -30,22 +30,22 @@ struct Fixture {
     options.num_qubits = num_qubits;
     circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
     const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-    cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, cuts);
+    cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
     backend::StatevectorBackend backend(3);
     cutting::ExecutionOptions exec;
     exec.shots_per_variant = 1000;
-    cutting::FragmentData data =
-        cutting::execute_fragments(bp, cutting::NeglectSpec::none(1), backend, exec);
-    return Fixture{std::move(ansatz), std::move(bp), std::move(data)};
+    cutting::ChainFragmentData data =
+        cutting::execute_chain(graph, cutting::ChainNeglectSpec::none(graph), backend, exec);
+    return Fixture{std::move(ansatz), std::move(graph), std::move(data)};
   }
 };
 
 void BM_ReconstructStandard(benchmark::State& state) {
   const Fixture fixture = Fixture::make(static_cast<int>(state.range(0)));
-  const cutting::NeglectSpec spec = cutting::NeglectSpec::none(1);
+  const cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(fixture.graph);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cutting::reconstruct_distribution(fixture.bp, fixture.data, spec).raw_probabilities
+        cutting::reconstruct_distribution(fixture.graph, fixture.data, spec).raw_probabilities
             .data());
   }
 }
@@ -53,11 +53,12 @@ BENCHMARK(BM_ReconstructStandard)->Arg(5)->Arg(7)->Arg(9)->Arg(11);
 
 void BM_ReconstructGolden(benchmark::State& state) {
   const Fixture fixture = Fixture::make(static_cast<int>(state.range(0)));
-  cutting::NeglectSpec spec(1);
-  spec.neglect(0, fixture.ansatz.golden_basis);
+  cutting::NeglectSpec golden(1);
+  golden.neglect(0, fixture.ansatz.golden_basis);
+  const cutting::ChainNeglectSpec spec{{golden}};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cutting::reconstruct_distribution(fixture.bp, fixture.data, spec).raw_probabilities
+        cutting::reconstruct_distribution(fixture.graph, fixture.data, spec).raw_probabilities
             .data());
   }
 }
@@ -127,16 +128,16 @@ void BM_FragmentExecutionStandard(benchmark::State& state) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
   backend::StatevectorBackend backend(4);
-  const cutting::NeglectSpec spec = cutting::NeglectSpec::none(1);
+  const cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(graph);
   std::uint64_t stream = 0;
   for (auto _ : state) {
     cutting::ExecutionOptions exec;
     exec.shots_per_variant = 1000;
     exec.seed_stream_base = (stream++) << 16;
     benchmark::DoNotOptimize(
-        cutting::execute_fragments(bp, spec, backend, exec).total_jobs);
+        cutting::execute_chain(graph, spec, backend, exec).total_jobs);
   }
 }
 BENCHMARK(BM_FragmentExecutionStandard);
@@ -147,17 +148,18 @@ void BM_FragmentExecutionGolden(benchmark::State& state) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
   backend::StatevectorBackend backend(4);
-  cutting::NeglectSpec spec(1);
-  spec.neglect(0, ansatz.golden_basis);
+  cutting::NeglectSpec golden(1);
+  golden.neglect(0, ansatz.golden_basis);
+  const cutting::ChainNeglectSpec spec{{golden}};
   std::uint64_t stream = 0;
   for (auto _ : state) {
     cutting::ExecutionOptions exec;
     exec.shots_per_variant = 1000;
     exec.seed_stream_base = (stream++) << 16;
     benchmark::DoNotOptimize(
-        cutting::execute_fragments(bp, spec, backend, exec).total_jobs);
+        cutting::execute_chain(graph, spec, backend, exec).total_jobs);
   }
 }
 BENCHMARK(BM_FragmentExecutionGolden);
@@ -193,9 +195,9 @@ void BM_ExactGoldenDetection(benchmark::State& state) {
   options.num_qubits = static_cast<int>(state.range(0));
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cutting::detect_golden_exact(bp, 1e-9).violation.data());
+    benchmark::DoNotOptimize(cutting::detect_golden_exact(graph, 1e-9).violation.data());
   }
 }
 BENCHMARK(BM_ExactGoldenDetection)->Arg(5)->Arg(9)->Arg(13);
@@ -204,8 +206,9 @@ BENCHMARK(BM_ExactGoldenDetection)->Arg(5)->Arg(9)->Arg(13);
 
 namespace {
 
-/// Parallel reconstruction: a 2-cut bipartition (16 active terms under the
-/// full spec) reconstructed on a 1-thread vs a `threads`-thread pool. The
+/// Parallel reconstruction: a 2-cut two-fragment graph (16 active terms
+/// under the full spec) reconstructed on a 1-thread vs a `threads`-thread
+/// pool. The
 /// chunked accumulation is deterministic in the term count alone, so both
 /// pools produce bit-for-bit identical distributions — only the wall clock
 /// moves.
@@ -218,23 +221,22 @@ double parallel_reconstruction_speedup(int threads, double& serial_seconds_out,
   options.block_width = 8;  // 17 qubits total: a 16-qubit upstream fragment
   options.downstream_depth = 2;
   const circuit::MultiCutAnsatz ansatz = circuit::make_multi_cut_golden_ansatz(options, rng);
-  const cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, ansatz.cuts);
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, ansatz.cuts);
+  const cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(graph);
   backend::StatevectorBackend backend(3);
   cutting::ExecutionOptions exec;
   exec.shots_per_variant = 1000;
-  const cutting::FragmentData data =
-      cutting::execute_fragments(bp, cutting::NeglectSpec::none(2), backend, exec);
+  const cutting::ChainFragmentData data = cutting::execute_chain(graph, spec, backend, exec);
 
   constexpr int kRepeats = 10;
   parallel::ThreadPool serial_pool(1);
   parallel::ThreadPool parallel_pool(static_cast<unsigned>(threads));
-  const cutting::NeglectSpec spec = cutting::NeglectSpec::none(2);
 
   cutting::ReconstructionOptions serial_recon;
   serial_recon.pool = &serial_pool;
   Stopwatch serial_watch;
   for (int r = 0; r < kRepeats; ++r) {
-    (void)cutting::reconstruct_distribution(bp, data, spec, serial_recon);
+    (void)cutting::reconstruct_distribution(graph, data, spec, serial_recon);
   }
   serial_seconds_out = serial_watch.elapsed_seconds() / kRepeats;
 
@@ -242,7 +244,7 @@ double parallel_reconstruction_speedup(int threads, double& serial_seconds_out,
   parallel_recon.pool = &parallel_pool;
   Stopwatch parallel_watch;
   for (int r = 0; r < kRepeats; ++r) {
-    (void)cutting::reconstruct_distribution(bp, data, spec, parallel_recon);
+    (void)cutting::reconstruct_distribution(graph, data, spec, parallel_recon);
   }
   parallel_seconds_out = parallel_watch.elapsed_seconds() / kRepeats;
   return serial_seconds_out / parallel_seconds_out;
@@ -261,18 +263,19 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   const Fixture fixture = Fixture::make(9);
-  cutting::NeglectSpec golden(1);
-  golden.neglect(0, fixture.ansatz.golden_basis);
+  cutting::NeglectSpec golden_spec(1);
+  golden_spec.neglect(0, fixture.ansatz.golden_basis);
+  const cutting::ChainNeglectSpec golden{{golden_spec}};
   constexpr int kRepeats = 10;
   Stopwatch standard_watch;
   for (int r = 0; r < kRepeats; ++r) {
-    (void)cutting::reconstruct_distribution(fixture.bp, fixture.data,
-                                            cutting::NeglectSpec::none(1));
+    (void)cutting::reconstruct_distribution(fixture.graph, fixture.data,
+                                            cutting::ChainNeglectSpec::none(fixture.graph));
   }
   const double standard_seconds = standard_watch.elapsed_seconds() / kRepeats;
   Stopwatch golden_watch;
   for (int r = 0; r < kRepeats; ++r) {
-    (void)cutting::reconstruct_distribution(fixture.bp, fixture.data, golden);
+    (void)cutting::reconstruct_distribution(fixture.graph, fixture.data, golden);
   }
   const double golden_seconds = golden_watch.elapsed_seconds() / kRepeats;
 

@@ -64,12 +64,12 @@ int main() {
   const std::size_t cut_after = simple.num_ops() - 1;
   simple.cx(1, 2);
   const std::array<circuit::WirePoint, 1> simple_cuts = {circuit::WirePoint{1, cut_after}};
-  const cutting::Bipartition simple_bp = cutting::make_bipartition(simple, simple_cuts);
+  const cutting::FragmentGraph simple_graph = cutting::make_fragment_graph(simple, simple_cuts);
 
   circuit::PauliString z0(3);
   z0.set_label(0, Pauli::Z);
   const auto report = cutting::detect_golden_for_observable(
-      simple_bp, cutting::DiagonalObservable::from_pauli(z0));
+      simple_graph, cutting::DiagonalObservable::from_pauli(z0));
   std::cout << "Observable-specific detection for <Z_0> on the simple circuit:\n";
   for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
     std::cout << "  basis " << linalg::pauli_name(p) << ": "

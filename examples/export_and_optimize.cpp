@@ -18,16 +18,18 @@ int main() {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
 
   // Golden spec: only the 6 surviving variants get exported.
   cutting::NeglectSpec spec(1);
   spec.neglect(0, ansatz.golden_basis);
 
-  std::cout << "Upstream fragment:\n" << circuit::render_ascii(bp.f1) << '\n';
+  std::cout << "Upstream fragment:\n"
+            << circuit::render_ascii(graph.fragments[0].circuit) << '\n';
 
   for (std::uint32_t setting : cutting::required_setting_indices(spec)) {
-    const cutting::UpstreamVariant variant = cutting::make_upstream_variant(bp, setting);
+    const cutting::FragmentVariant variant =
+        cutting::make_fragment_variant(graph, 0, cutting::FragmentVariantKey{0, setting});
     circuit::OptimizeStats stats;
     const circuit::Circuit optimized = circuit::optimize(variant.circuit, &stats);
     std::cout << "--- upstream setting "
@@ -39,11 +41,12 @@ int main() {
 
   std::cout << "--- one downstream preparation (|+>) ---\n";
   for (std::uint32_t prep : cutting::required_prep_indices(spec)) {
-    const cutting::DownstreamVariant variant = cutting::make_downstream_variant(bp, prep);
+    const cutting::FragmentVariant variant =
+        cutting::make_fragment_variant(graph, 1, cutting::FragmentVariantKey{prep, 0});
     if (variant.preps.front() != linalg::PrepState::XPlus) continue;
     std::cout << circuit::to_qasm(circuit::optimize(variant.circuit)) << '\n';
   }
   std::cout << "These QASM programs run unmodified on Qiskit/IBM backends; the\n"
-               "reconstruction then consumes their counts via FragmentData.\n";
+               "reconstruction then consumes their counts via ingest_counts.\n";
   return 0;
 }

@@ -12,7 +12,7 @@ std::vector<std::size_t> plan_variant_shots(std::size_t shots_per_variant,
   std::vector<std::size_t> shots_for(num_variants, shots_per_variant);
   if (!exact && total_shot_budget > 0) {
     QCUT_CHECK(total_shot_budget >= num_variants,
-               "execute_fragments: total_shot_budget must cover at least one shot per variant");
+               "plan_variant_shots: total_shot_budget must cover at least one shot per variant");
     const std::size_t base = total_shot_budget / num_variants;
     const std::size_t remainder = total_shot_budget % num_variants;
     for (std::size_t v = 0; v < num_variants; ++v) {
@@ -70,145 +70,8 @@ ChainFragmentData make_chain_data(const FragmentGraph& graph) {
   return data;
 }
 
-const std::vector<double>& FragmentData::upstream_distribution(std::uint32_t setting) const {
-  const auto it = upstream.find(setting);
-  QCUT_CHECK(it != upstream.end(),
-             "FragmentData: upstream setting " + std::to_string(setting) + " was not executed");
-  return it->second;
-}
-
-const std::vector<double>& FragmentData::downstream_distribution(std::uint32_t prep) const {
-  const auto it = downstream.find(prep);
-  QCUT_CHECK(it != downstream.end(),
-             "FragmentData: downstream prep " + std::to_string(prep) + " was not executed");
-  return it->second;
-}
-
-namespace {
-
-FragmentData execute_impl(const Bipartition& bp, const NeglectSpec& spec,
-                          backend::Backend& backend, const ExecutionOptions& options,
-                          bool do_upstream, bool do_downstream) {
-  QCUT_CHECK(spec.num_cuts() == bp.num_cuts(),
-             "execute_fragments: spec cut count must match the bipartition");
-  QCUT_CHECK(options.exact || options.shots_per_variant > 0 || options.total_shot_budget > 0,
-             "execute_fragments: need shots_per_variant or total_shot_budget when sampling");
-
-  Stopwatch timer;
-  parallel::ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : parallel::ThreadPool::global();
-
-  const std::vector<std::uint32_t> settings =
-      do_upstream ? required_setting_indices(spec) : std::vector<std::uint32_t>{};
-  const std::vector<std::uint32_t> preps =
-      do_downstream ? required_prep_indices(spec) : std::vector<std::uint32_t>{};
-
-  const std::size_t num_variants_planned = settings.size() + preps.size();
-  const std::vector<std::size_t> shots_for = plan_variant_shots(
-      options.shots_per_variant, options.total_shot_budget, options.exact, num_variants_planned);
-
-  FragmentData data;
-  data.num_cuts = bp.num_cuts();
-  data.f1_width = bp.f1_width();
-  data.f2_width = bp.f2_width();
-  if (options.exact) {
-    data.shots_per_variant = 0;
-  } else {
-    data.shots_per_variant = shots_for.empty() ? 0 : shots_for.back();  // smallest share
-  }
-
-  // Pre-size the result slots so worker threads write disjoint entries.
-  std::vector<std::vector<double>> upstream_results(settings.size());
-  std::vector<std::vector<double>> downstream_results(preps.size());
-
-  const std::size_t num_variants = settings.size() + preps.size();
-  if (options.prefix_batching) {
-    // Batched path: all 3^K upstream settings share the entire f1 body (the
-    // rotations are trailing), so an upstream-only execution simulates f1
-    // once. Per-variant shots and seed streams are preserved: results are
-    // bit-for-bit those of the per-variant branch below.
-    backend::BatchRequest batch;
-    batch.exact = options.exact;
-    batch.pool = &pool;
-    batch.jobs.reserve(num_variants);
-    for (std::size_t v = 0; v < settings.size(); ++v) {
-      UpstreamVariant variant = make_upstream_variant(bp, settings[v]);
-      batch.jobs.push_back(backend::BatchJob{
-          std::move(variant.circuit), shots_for[v],
-          options.seed_stream_base + variant.setting_index});
-    }
-    for (std::size_t d = 0; d < preps.size(); ++d) {
-      DownstreamVariant variant = make_downstream_variant(bp, preps[d]);
-      batch.jobs.push_back(backend::BatchJob{
-          std::move(variant.circuit), shots_for[settings.size() + d],
-          options.seed_stream_base + kDownstreamSeedStreamOffset + variant.prep_index});
-    }
-    std::vector<const Circuit*> circuits;
-    circuits.reserve(batch.jobs.size());
-    for (const backend::BatchJob& job : batch.jobs) circuits.push_back(&job.circuit);
-    for (PrefixGroup& group : group_by_shared_prefix(circuits)) {
-      batch.groups.push_back(
-          backend::BatchPrefixGroup{group.prefix_ops, std::move(group.members)});
-    }
-    backend::BatchResult batched = backend.run_batch(batch);
-    parallel::parallel_for(pool, 0, num_variants, [&](std::size_t v) {
-      std::vector<double> probs = options.exact ? std::move(batched.probabilities[v])
-                                                : batched.counts[v].to_probabilities();
-      if (v < settings.size()) {
-        upstream_results[v] = std::move(probs);
-      } else {
-        downstream_results[v - settings.size()] = std::move(probs);
-      }
-    });
-  } else {
-    parallel::parallel_for(pool, 0, num_variants, [&](std::size_t v) {
-      if (v < settings.size()) {
-        const UpstreamVariant variant = make_upstream_variant(bp, settings[v]);
-        if (options.exact) {
-          upstream_results[v] = backend.exact_probabilities(variant.circuit);
-        } else {
-          const backend::Counts counts =
-              backend.run(variant.circuit, shots_for[v],
-                          options.seed_stream_base + variant.setting_index);
-          upstream_results[v] = counts.to_probabilities();
-        }
-      } else {
-        const std::size_t d = v - settings.size();
-        const DownstreamVariant variant = make_downstream_variant(bp, preps[d]);
-        if (options.exact) {
-          downstream_results[d] = backend.exact_probabilities(variant.circuit);
-        } else {
-          const backend::Counts counts =
-              backend.run(variant.circuit, shots_for[v],
-                          options.seed_stream_base + kDownstreamSeedStreamOffset +
-                              variant.prep_index);
-          downstream_results[d] = counts.to_probabilities();
-        }
-      }
-    });
-  }
-
-  for (std::size_t i = 0; i < settings.size(); ++i) {
-    data.upstream.emplace(settings[i], std::move(upstream_results[i]));
-  }
-  for (std::size_t i = 0; i < preps.size(); ++i) {
-    data.downstream.emplace(preps[i], std::move(downstream_results[i]));
-  }
-
-  data.total_jobs = num_variants;
-  if (!options.exact) {
-    for (std::size_t v = 0; v < num_variants; ++v) data.total_shots += shots_for[v];
-  }
-  data.wall_seconds = timer.elapsed_seconds();
-  return data;
-}
-
-/// Chain execution over the full required work list; its order
-/// (fragment-major, packed key ascending) matches the historical
-/// settings-then-preps order at N=2.
-ChainFragmentData execute_chain_impl(const FragmentGraph& graph, const ChainNeglectSpec& spec,
-                                     backend::Backend& backend,
-                                     const ExecutionOptions& options) {
+ChainFragmentData execute_chain(const FragmentGraph& graph, const ChainNeglectSpec& spec,
+                                backend::Backend& backend, const ExecutionOptions& options) {
   QCUT_CHECK(spec.num_boundaries() == graph.num_boundaries(),
              "execute_chain: spec boundary count must match the graph");
   QCUT_CHECK(options.exact || options.shots_per_variant > 0 || options.total_shot_budget > 0,
@@ -297,61 +160,19 @@ ChainFragmentData execute_chain_impl(const FragmentGraph& graph, const ChainNegl
   return data;
 }
 
-}  // namespace
-
-ChainFragmentData execute_chain(const FragmentGraph& graph, const ChainNeglectSpec& spec,
-                                backend::Backend& backend, const ExecutionOptions& options) {
-  return execute_chain_impl(graph, spec, backend, options);
-}
-
-FragmentData execute_fragments(const Bipartition& bp, const NeglectSpec& spec,
-                               backend::Backend& backend, const ExecutionOptions& options) {
-  return execute_impl(bp, spec, backend, options, /*do_upstream=*/true, /*do_downstream=*/true);
-}
-
-FragmentData execute_upstream_only(const Bipartition& bp, const NeglectSpec& spec,
-                                   backend::Backend& backend, const ExecutionOptions& options) {
-  return execute_impl(bp, spec, backend, options, /*do_upstream=*/true, /*do_downstream=*/false);
-}
-
-FragmentData execute_downstream_only(const Bipartition& bp, const NeglectSpec& spec,
-                                     backend::Backend& backend,
-                                     const ExecutionOptions& options) {
-  return execute_impl(bp, spec, backend, options, /*do_upstream=*/false, /*do_downstream=*/true);
-}
-
-FragmentData make_fragment_data(const Bipartition& bp, std::size_t shots_per_variant) {
-  QCUT_CHECK(shots_per_variant > 0, "make_fragment_data: shots_per_variant must be positive");
-  FragmentData data;
-  data.num_cuts = bp.num_cuts();
-  data.f1_width = bp.f1_width();
-  data.f2_width = bp.f2_width();
-  data.shots_per_variant = shots_per_variant;
-  return data;
-}
-
-namespace {
-void check_ingest(const FragmentData& data, const backend::Counts& counts, int expected_bits) {
-  QCUT_CHECK(counts.num_bits() == expected_bits,
-             "ingest: counts register width does not match the fragment");
-  QCUT_CHECK(counts.total_shots() > 0, "ingest: counts are empty");
-  QCUT_CHECK(data.shots_per_variant == 0 || counts.total_shots() == data.shots_per_variant,
-             "ingest: counts shot total does not match shots_per_variant");
-}
-}  // namespace
-
-void ingest_upstream_counts(FragmentData& data, std::uint32_t setting,
-                            const backend::Counts& counts) {
-  check_ingest(data, counts, data.f1_width);
-  data.upstream[setting] = counts.to_probabilities();
-  ++data.total_jobs;
-  data.total_shots += counts.total_shots();
-}
-
-void ingest_downstream_counts(FragmentData& data, std::uint32_t prep,
-                              const backend::Counts& counts) {
-  check_ingest(data, counts, data.f2_width);
-  data.downstream[prep] = counts.to_probabilities();
+void ingest_counts(ChainFragmentData& data, int fragment, FragmentVariantKey key,
+                   const backend::Counts& counts) {
+  QCUT_CHECK(fragment >= 0 && fragment < data.num_fragments(),
+             "ingest_counts: fragment index out of range");
+  QCUT_CHECK(data.shots_per_variant > 0,
+             "ingest_counts: set shots_per_variant before ingesting counts");
+  QCUT_CHECK(counts.num_bits() == data.fragments[static_cast<std::size_t>(fragment)].width,
+             "ingest_counts: counts register width does not match the fragment");
+  QCUT_CHECK(counts.total_shots() > 0, "ingest_counts: counts are empty");
+  QCUT_CHECK(counts.total_shots() == data.shots_per_variant,
+             "ingest_counts: counts shot total does not match shots_per_variant");
+  data.fragments[static_cast<std::size_t>(fragment)].variants[pack_variant_key(key)] =
+      counts.to_probabilities();
   ++data.total_jobs;
   data.total_shots += counts.total_shots();
 }

@@ -1,9 +1,7 @@
 #pragma once
 // Fragment execution: running every required variant of every fragment on a
-// backend, in parallel, and collecting the outcome distributions. The chain
-// entry points (execute_chain / ChainFragmentData) serve N fragments; the
-// Bipartition entry points are the historical N=2 path and remain the
-// reference the chain must match bit for bit at N=2.
+// backend, in parallel, and collecting the outcome distributions
+// (execute_chain), or collecting counts executed elsewhere (ingest_counts).
 
 #include <cstdint>
 #include <unordered_map>
@@ -17,11 +15,10 @@ namespace qcut::cutting {
 
 /// Seed-stream layout shared by every execution path (direct and service):
 /// fragment f draws from the block base + f * kDownstreamSeedStreamOffset,
-/// at sub-index prep_index * 3^Kout + setting_index. For the N=2 chain this
-/// is the historical layout exactly: upstream variants at
-/// base + setting_index, downstream variants at
-/// base + kDownstreamSeedStreamOffset + prep_index. The offset keeps the
-/// blocks disjoint for any realistic per-boundary cut count.
+/// at sub-index prep_index * 3^Kout + setting_index. For a two-fragment cut
+/// that puts upstream variants at base + setting_index and downstream
+/// variants at base + kDownstreamSeedStreamOffset + prep_index. The offset
+/// keeps the blocks disjoint for any realistic per-boundary cut count.
 inline constexpr std::uint64_t kDownstreamSeedStreamOffset = 1u << 20;
 
 /// Base of fragment f's seed-stream block.
@@ -64,27 +61,6 @@ struct ExecutionOptions {
   bool prefix_batching = true;
 };
 
-/// The measured fragment data the Reconstructor consumes.
-struct FragmentData {
-  int num_cuts = 0;
-  int f1_width = 0;
-  int f2_width = 0;
-
-  /// setting tuple code -> outcome distribution over 2^f1_width.
-  std::unordered_map<std::uint32_t, std::vector<double>> upstream;
-
-  /// prep tuple code -> outcome distribution over 2^f2_width.
-  std::unordered_map<std::uint32_t, std::vector<double>> downstream;
-
-  std::size_t shots_per_variant = 0;  // 0 in exact mode; smallest count under a budget
-  std::uint64_t total_jobs = 0;
-  std::uint64_t total_shots = 0;
-  double wall_seconds = 0.0;          // wall time spent gathering the data
-
-  [[nodiscard]] const std::vector<double>& upstream_distribution(std::uint32_t setting) const;
-  [[nodiscard]] const std::vector<double>& downstream_distribution(std::uint32_t prep) const;
-};
-
 /// Per-variant shot plan shared by every execution path: a fixed per-variant
 /// count, or an even split of `total_shot_budget` with the remainder going to
 /// the earliest variants. In exact mode the plan is all-`shots_per_variant`
@@ -123,51 +99,26 @@ struct ChainFragmentData {
 /// Runs every variant required by the per-boundary specs on `backend` and
 /// collects the distributions. Variants are enumerated fragment by fragment
 /// (fragment 0 first, keys ascending), the shot plan is split across that
-/// order, and seed streams are assigned per variant — so an N=2 chain is
-/// bit-for-bit identical to execute_fragments at equal seeds.
+/// order, and seed streams are assigned per variant, so results do not
+/// depend on scheduling. Variants are independent and are fanned out over
+/// the thread pool.
 [[nodiscard]] ChainFragmentData execute_chain(const FragmentGraph& graph,
                                               const ChainNeglectSpec& spec,
                                               backend::Backend& backend,
                                               const ExecutionOptions& options = {});
 
-/// Runs every variant required by `spec` on `backend` and collects the
-/// distributions. Variants are independent and are fanned out over the
-/// thread pool; seed streams are assigned per variant so results do not
-/// depend on scheduling.
-[[nodiscard]] FragmentData execute_fragments(const Bipartition& bp, const NeglectSpec& spec,
-                                             backend::Backend& backend,
-                                             const ExecutionOptions& options = {});
-
-/// Upstream half only (all settings required by `spec`). Used by the
-/// online-detection pipeline, which must see the upstream data before it
-/// can decide which downstream preparations to skip.
-[[nodiscard]] FragmentData execute_upstream_only(const Bipartition& bp, const NeglectSpec& spec,
-                                                 backend::Backend& backend,
-                                                 const ExecutionOptions& options = {});
-
-/// Downstream half only (all preparations required by `spec`).
-[[nodiscard]] FragmentData execute_downstream_only(const Bipartition& bp,
-                                                   const NeglectSpec& spec,
-                                                   backend::Backend& backend,
-                                                   const ExecutionOptions& options = {});
-
 // ---- Bring-your-own-counts ingestion ----
 //
 // For running fragment variants on external stacks (e.g. exporting the
-// variant circuits with to_qasm and executing on real hardware), build the
-// FragmentData by hand from the returned counts.
+// variant circuits of make_fragment_variant with to_qasm and executing them
+// on real hardware), fill a make_chain_data(graph) by hand from the returned
+// counts. Set its shots_per_variant first: every ingested histogram must
+// carry exactly that many shots.
 
-/// Empty FragmentData shaped for `bp`, expecting `shots_per_variant` shots
-/// per ingested variant.
-[[nodiscard]] FragmentData make_fragment_data(const Bipartition& bp,
-                                              std::size_t shots_per_variant);
-
-/// Records the counts of the upstream variant with setting tuple `setting`.
-void ingest_upstream_counts(FragmentData& data, std::uint32_t setting,
-                            const backend::Counts& counts);
-
-/// Records the counts of the downstream variant with prep tuple `prep`.
-void ingest_downstream_counts(FragmentData& data, std::uint32_t prep,
-                              const backend::Counts& counts);
+/// Records the counts of fragment `fragment`'s variant `key`. Throws when
+/// the register width does not match the fragment, the counts are empty, or
+/// their shot total differs from data.shots_per_variant (which must be set).
+void ingest_counts(ChainFragmentData& data, int fragment, FragmentVariantKey key,
+                   const backend::Counts& counts);
 
 }  // namespace qcut::cutting

@@ -26,10 +26,9 @@ int FragmentGraph::max_fragment_width() const {
 
 namespace {
 
-/// One prefix/suffix split of a (sub)circuit, the same construction
-/// make_bipartition has always used: fragment qubits in ascending order,
-/// untouched qubits assigned upstream, circuits rebuilt by appending each
-/// side's ops in program order and remapping to local indices.
+/// One prefix/suffix split of a (sub)circuit: fragment qubits in ascending
+/// order, untouched qubits assigned upstream, circuits rebuilt by appending
+/// each side's ops in program order and remapping to local indices.
 struct Split {
   Circuit up{1};
   Circuit down{1};
@@ -260,26 +259,6 @@ FragmentGraph make_fragment_graph(const Circuit& circuit, std::span<const WirePo
   const std::vector<std::vector<WirePoint>> boundaries = {
       std::vector<WirePoint>(cuts.begin(), cuts.end())};
   return make_fragment_chain(circuit, boundaries);
-}
-
-Bipartition to_bipartition(const FragmentGraph& graph) {
-  QCUT_CHECK(graph.num_fragments() == 2,
-             "to_bipartition: the legacy two-fragment view requires exactly 2 fragments, got " +
-                 std::to_string(graph.num_fragments()));
-  const ChainFragment& f1 = graph.fragments[0];
-  const ChainFragment& f2 = graph.fragments[1];
-
-  Bipartition bp;
-  bp.f1 = f1.circuit;
-  bp.f2 = f2.circuit;
-  bp.f1_to_original = f1.to_original;
-  bp.f2_to_original = f2.to_original;
-  bp.f1_output_qubits = f1.output_qubits;
-  bp.num_original_qubits = graph.num_original_qubits;
-  for (const BoundaryWire& wire : graph.boundaries[0].wires) {
-    bp.cuts.push_back(CutWire{wire.original_qubit, wire.up_qubit, wire.down_qubit});
-  }
-  return bp;
 }
 
 ChainNeglectSpec ChainNeglectSpec::none(const FragmentGraph& graph) {

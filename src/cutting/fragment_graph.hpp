@@ -1,5 +1,5 @@
 #pragma once
-// FragmentGraph: the N-fragment generalization of the bipartition.
+// FragmentGraph: a circuit cut into an ordered chain of fragments.
 //
 // A circuit is split into an ordered chain of N >= 2 fragments by N-1
 // boundaries; boundary b is the set of cut wires crossing from fragment b
@@ -14,9 +14,10 @@
 // Topology is restricted to a *chain*: every cut wire of boundary b must be
 // measured in fragment b and re-prepared in fragment b+1 (no
 // fragment-skipping wires, no branching fragment DAGs; see ROADMAP open
-// items). The classic two-fragment split is the N=2 chain, and
-// make_bipartition (bipartition.hpp) is now a thin wrapper over
-// make_fragment_chain.
+// items). The paper's two-fragment split (Section II-B: an upstream f1 that
+// measures and a downstream f2 that re-prepares) is the N=2 chain that
+// make_fragment_graph builds; the single-boundary golden detectors
+// (golden.hpp, observables.hpp) take it.
 
 #include <span>
 #include <vector>
@@ -90,10 +91,6 @@ struct FragmentGraph {
 /// The N=2 chain from a flat cut list (one boundary).
 [[nodiscard]] FragmentGraph make_fragment_graph(const Circuit& circuit,
                                                 std::span<const circuit::WirePoint> cuts);
-
-/// Legacy two-fragment view of an N=2 graph (throws otherwise). Kept for
-/// the per-bipartition detectors and the direct execution path.
-[[nodiscard]] Bipartition to_bipartition(const FragmentGraph& graph);
 
 /// One NeglectSpec per boundary.
 class ChainNeglectSpec {

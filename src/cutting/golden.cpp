@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "cutting/fragment_graph.hpp"
 #include "linalg/ops.hpp"
 #include "metrics/stats.hpp"
 #include "sim/device.hpp"
@@ -151,17 +152,26 @@ struct OperatorEntry {
   linalg::cx value;
 };
 
+
+/// The upstream fragment of a two-fragment graph.
+const ChainFragment& upstream_fragment(const FragmentGraph& graph, const char* caller) {
+  QCUT_CHECK(graph.num_fragments() == 2,
+             std::string(caller) + ": needs a two-fragment graph (one boundary), got " +
+                 std::to_string(graph.num_fragments()) + " fragments");
+  return graph.fragments[0];
+}
+
 }  // namespace
 
-GoldenDetectionReport detect_golden_exact(const Bipartition& bp, double tol) {
-  const int num_cuts = bp.num_cuts();
-  const int n1 = bp.f1_width();
-  const std::vector<int> cut_qubits = bp.f1_cut_qubits();
-  const std::vector<int>& out_qubits = bp.f1_output_qubits;
+GoldenDetectionReport detect_golden_exact(const FragmentGraph& graph, double tol) {
+  const ChainFragment& upstream = upstream_fragment(graph, "detect_golden_exact");
+  const int num_cuts = upstream.num_out();
+  const std::vector<int>& cut_qubits = upstream.out_cut_qubits;
+  const std::vector<int>& out_qubits = upstream.output_qubits;
 
   const sim::Device& device = upstream_device();
-  const std::unique_ptr<sim::DeviceState> state = device.create_state(n1);
-  device.apply(*device.compile(bp.f1), *state);
+  const std::unique_ptr<sim::DeviceState> state = device.create_state(upstream.width());
+  device.apply(*device.compile(upstream.circuit), *state);
   const linalg::CVec amps = device.amplitudes(*state);
 
   const index_t out_dim = pow2(static_cast<int>(out_qubits.size()));
@@ -239,12 +249,12 @@ GoldenDetectionReport detect_golden_exact(const Bipartition& bp, double tol) {
   return report;
 }
 
-GoldenDetectionReport detect_golden_from_counts_core(const FragmentLayout& layout,
+GoldenDetectionReport detect_golden_from_counts_core(const ChainFragment& fragment,
                                                      std::size_t num_contexts,
                                                      const SettingDistributionFn& distribution,
                                                      std::size_t shots,
                                                      const OnlineDetectionOptions& options) {
-  const int num_cuts = layout.num_cuts;
+  const int num_cuts = fragment.num_out();
   QCUT_CHECK(shots > 0, "detect_golden_from_counts: shots must be positive");
   QCUT_CHECK(options.alpha > 0.0 && options.alpha < 1.0,
              "detect_golden_from_counts: alpha must be in (0, 1)");
@@ -252,10 +262,10 @@ GoldenDetectionReport detect_golden_from_counts_core(const FragmentLayout& layou
 
   std::uint64_t num_settings = 1;
   for (int k = 0; k < num_cuts; ++k) num_settings *= kNumMeasSettings;
-  const index_t dim = pow2(layout.width);
+  const index_t dim = pow2(fragment.width());
 
-  const std::vector<int>& cut_qubits = layout.cut_qubits;
-  const std::vector<int>& out_qubits = layout.out_qubits;
+  const std::vector<int>& cut_qubits = fragment.out_cut_qubits;
+  const std::vector<int>& out_qubits = fragment.output_qubits;
   const index_t out_dim = pow2(static_cast<int>(out_qubits.size()));
   const index_t cut_dim = pow2(num_cuts);
 
@@ -333,20 +343,16 @@ GoldenDetectionReport detect_golden_from_counts_core(const FragmentLayout& layou
 }
 
 GoldenDetectionReport detect_golden_from_counts(
-    const Bipartition& bp, const std::vector<std::vector<double>>& upstream_probabilities,
+    const FragmentGraph& graph, const std::vector<std::vector<double>>& upstream_probabilities,
     std::size_t shots, const OnlineDetectionOptions& options) {
+  const ChainFragment& upstream = upstream_fragment(graph, "detect_golden_from_counts");
   std::uint64_t num_settings = 1;
-  for (int k = 0; k < bp.num_cuts(); ++k) num_settings *= kNumMeasSettings;
+  for (int k = 0; k < upstream.num_out(); ++k) num_settings *= kNumMeasSettings;
   QCUT_CHECK(upstream_probabilities.size() == num_settings,
              "detect_golden_from_counts: need all 3^K upstream settings");
 
-  FragmentLayout layout;
-  layout.num_cuts = bp.num_cuts();
-  layout.width = bp.f1_width();
-  layout.cut_qubits = bp.f1_cut_qubits();
-  layout.out_qubits = bp.f1_output_qubits;
   return detect_golden_from_counts_core(
-      layout, 1,
+      upstream, 1,
       [&](std::size_t, std::uint32_t s) -> const std::vector<double>& {
         return upstream_probabilities[s];
       },
@@ -358,7 +364,7 @@ std::vector<GoldenDetectionReport> detect_chain_golden_exact(
   std::vector<GoldenDetectionReport> reports;
   reports.reserve(boundaries.size());
   for (const std::vector<WirePoint>& boundary : boundaries) {
-    reports.push_back(detect_golden_exact(make_bipartition(circuit, boundary), tol));
+    reports.push_back(detect_golden_exact(make_fragment_graph(circuit, boundary), tol));
   }
   return reports;
 }

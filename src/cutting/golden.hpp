@@ -11,9 +11,14 @@
 // Beyond the paper's per-cut formalism, NeglectSpec also supports
 // string-level neglect: for multi-cut real-amplitude circuits the terms
 // that vanish are exactly the basis strings with an odd number of Y
-// components (see DESIGN.md), which is not a per-cut product set.
+// components, which is not a per-cut product set. (A real upstream state
+// has real symmetric conditional cut density matrices rho, and a Pauli
+// string P with an odd number of Y factors is imaginary and antisymmetric,
+// so tr(rho P) = tr(P^T rho^T) = -tr(P rho) = 0. Reconstruction.
+// TwoCutsOddYNeglectMatchesUncutForRealUpstream checks it end to end.)
 //
-// Two detectors are provided:
+// Two detectors are provided; both read the upstream fragment of the
+// two-fragment FragmentGraph (make_fragment_graph), i.e. one cut boundary:
 //  * detect_golden_exact: from the upstream fragment's statevector -
 //    checks Definition 1 for every output bitstring and every context of
 //    the other cuts. This is the "known a priori" mode of the paper's
@@ -26,12 +31,20 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <span>
 #include <vector>
 
+#include "circuit/circuit.hpp"
+#include "circuit/dag.hpp"
 #include "cutting/basis.hpp"
-#include "cutting/bipartition.hpp"
 
 namespace qcut::cutting {
+
+using circuit::Circuit;
+using circuit::WirePoint;
+
+struct ChainFragment;
+struct FragmentGraph;
 
 class NeglectSpec {
  public:
@@ -90,9 +103,10 @@ struct GoldenDetectionReport {
   [[nodiscard]] NeglectSpec to_spec() const;
 };
 
-/// Exact detection from the upstream fragment's statevector.
-/// An element is declared golden when its violation is at most `tol`.
-[[nodiscard]] GoldenDetectionReport detect_golden_exact(const Bipartition& bp,
+/// Exact detection from the upstream fragment's statevector. `graph` must
+/// have two fragments (make_fragment_graph). An element is declared golden
+/// when its violation is at most `tol`.
+[[nodiscard]] GoldenDetectionReport detect_golden_exact(const FragmentGraph& graph,
                                                         double tol = 1e-9);
 
 /// Options for the statistical (online) detector.
@@ -104,32 +118,34 @@ struct OnlineDetectionOptions {
 /// Statistical detection from measured upstream probabilities.
 ///
 /// `upstream_probabilities[s]` is the empirical outcome distribution of the
-/// upstream variant with setting-tuple index s (length 2^{f1 width}); all
-/// 3^K settings must be present. `shots` is the shot count behind each.
+/// upstream variant with setting-tuple index s (length 2^{width} of
+/// fragment 0 of the two-fragment `graph`); all 3^K settings must be
+/// present. `shots` is the shot count behind each.
 /// A cell passes when |g_hat| <= z * sigma_hat + min_threshold with z the
 /// union-bound normal critical value; an element is golden when every cell
 /// passes.
 [[nodiscard]] GoldenDetectionReport detect_golden_from_counts(
-    const Bipartition& bp, const std::vector<std::vector<double>>& upstream_probabilities,
+    const FragmentGraph& graph, const std::vector<std::vector<double>>& upstream_probabilities,
     std::size_t shots, const OnlineDetectionOptions& options = {});
 
 /// For multi-cut real-amplitude upstream fragments: neglects every basis
 /// string with an odd number of Y components (exactly the vanishing set;
-/// see DESIGN.md). Single-cut case reduces to neglect(cut0, Y).
+/// see the header comment). Single-cut case reduces to neglect(cut0, Y).
 [[nodiscard]] NeglectSpec neglect_odd_y_strings(int num_cuts);
 
 // ---- Per-boundary detection for fragment chains -----------------------------
 //
 // Definition 1 at boundary b of a chain is a property of the *prefix*
 // (fragments 0..b composed): removing boundary b's cut segments alone
-// bipartitions the circuit into that prefix and the remaining suffix, so
-// the existing detectors apply per boundary. Skipping every global term
-// whose boundary-b string contains a neglected element removes a group of
-// terms whose summed contribution is exactly the prefix-level Definition-1
-// trace — zero — so exact-mode chain reconstruction stays exact.
+// splits the circuit into that prefix and the remaining suffix, a
+// two-fragment graph, so the detectors above apply per boundary. Skipping
+// every global term whose boundary-b string contains a neglected element
+// removes a group of terms whose summed contribution is exactly the
+// prefix-level Definition-1 trace — zero — so exact-mode chain
+// reconstruction stays exact.
 
 /// Exact detection at every boundary (one report per boundary), each from
-/// the boundary's own prefix/suffix bipartition.
+/// the boundary's own prefix/suffix two-fragment graph.
 [[nodiscard]] std::vector<GoldenDetectionReport> detect_chain_golden_exact(
     const Circuit& circuit, std::span<const std::vector<WirePoint>> boundaries,
     double tol = 1e-9);
@@ -140,7 +156,8 @@ struct OnlineDetectionOptions {
     double tol = 1e-9);
 
 /// Statistical (online) detection at one fragment's outgoing boundary,
-/// from its measured distributions.
+/// from its measured distributions. The tomography bits are the fragment's
+/// out_cut_qubits; its output_qubits are the conditioning bits.
 ///
 /// `distribution(c, s)` must return the outcome distribution (length
 /// 2^width) of the variant with incoming prep context c (any fixed
@@ -148,20 +165,13 @@ struct OnlineDetectionOptions {
 /// one, empty, context) and outgoing setting tuple s; all 3^Kout settings
 /// must be served for every context. An element is golden only when the
 /// test passes in *every* incoming context, and the union bound covers all
-/// contexts. With one context this is exactly detect_golden_from_counts on
-/// the upstream fragment of a bipartition.
-struct FragmentLayout {
-  int num_cuts = 0;              // outgoing cut count of the tested boundary
-  int width = 0;                 // fragment width in qubits
-  std::vector<int> cut_qubits;   // tomography locals, boundary cut order
-  std::vector<int> out_qubits;   // remaining locals (conditioning bits)
-};
-
+/// contexts. With one context on fragment 0 this is exactly
+/// detect_golden_from_counts.
 using SettingDistributionFn =
     std::function<const std::vector<double>&(std::size_t context, std::uint32_t setting)>;
 
 [[nodiscard]] GoldenDetectionReport detect_golden_from_counts_core(
-    const FragmentLayout& layout, std::size_t num_contexts,
+    const ChainFragment& fragment, std::size_t num_contexts,
     const SettingDistributionFn& distribution, std::size_t shots,
     const OnlineDetectionOptions& options = {});
 

@@ -145,40 +145,40 @@ const std::vector<linalg::CMat>& context_projectors() {
 
 }  // namespace
 
-GoldenDetectionReport detect_golden_for_observable(const Bipartition& bp,
+GoldenDetectionReport detect_golden_for_observable(const FragmentGraph& graph,
                                                    const DiagonalObservable& observable,
                                                    double tol) {
   std::optional<GoldenDetectionReport> report =
-      try_detect_golden_for_observable(bp, observable, tol);
+      try_detect_golden_for_observable(graph, observable, tol);
   QCUT_CHECK(report.has_value(),
              "detect_golden_for_observable: observable does not factorize across the "
-             "bipartition (O = O_f1 x O_f2 required, as in Eq. 14)");
+             "two fragments (O = O_f1 x O_f2 required, as in Eq. 14)");
   return *std::move(report);
 }
 
 std::optional<GoldenDetectionReport> try_detect_golden_for_observable(
-    const Bipartition& bp, const DiagonalObservable& observable, double tol) {
-  QCUT_CHECK(observable.num_qubits() == bp.num_original_qubits,
+    const FragmentGraph& graph, const DiagonalObservable& observable, double tol) {
+  QCUT_CHECK(graph.num_fragments() == 2,
+             "detect_golden_for_observable: needs a two-fragment graph (one boundary)");
+  QCUT_CHECK(observable.num_qubits() == graph.num_original_qubits,
              "detect_golden_for_observable: observable width must match the circuit");
+  const ChainFragment& upstream = graph.fragments[0];
 
-  // Factorize the observable across the bipartition: A = f1 output qubits
+  // Factorize the observable across the two fragments: A = f1 output qubits
   // (original indices), B = f2 qubits.
-  std::vector<int> a_qubits;
-  for (int local : bp.f1_output_qubits) {
-    a_qubits.push_back(bp.f1_to_original[static_cast<std::size_t>(local)]);
-  }
-  const std::vector<int>& b_qubits = bp.f2_to_original;
+  const std::vector<int>& a_qubits = upstream.output_original;
+  const std::vector<int>& b_qubits = graph.fragments[1].to_original;
   std::vector<double> o_f1, o_f2;
   if (!try_factorize(observable.diagonal(), a_qubits, b_qubits, o_f1, o_f2)) {
     return std::nullopt;
   }
 
-  const int num_cuts = bp.num_cuts();
-  const std::vector<int> cut_qubits = bp.f1_cut_qubits();
-  const std::vector<int>& out_qubits = bp.f1_output_qubits;
+  const int num_cuts = upstream.num_out();
+  const std::vector<int>& cut_qubits = upstream.out_cut_qubits;
+  const std::vector<int>& out_qubits = upstream.output_qubits;
 
-  sim::StateVector psi(bp.f1_width());
-  psi.apply_circuit(bp.f1);
+  sim::StateVector psi(upstream.width());
+  psi.apply_circuit(upstream.circuit);
   const linalg::CVec& amps = psi.amplitudes();
 
   // Observable-weighted conditional cut matrix:
@@ -235,11 +235,6 @@ std::optional<GoldenDetectionReport> try_detect_golden_for_observable(
     }
   }
   return report;
-}
-
-double estimate_expectation(const Bipartition& bp, const FragmentData& data,
-                            const NeglectSpec& spec, const DiagonalObservable& observable) {
-  return reconstruct_diagonal_expectation(bp, data, spec, observable.diagonal());
 }
 
 PauliEstimationPlan prepare_pauli_estimation(const Circuit& circuit,

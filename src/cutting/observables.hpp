@@ -59,29 +59,24 @@ class DiagonalObservable {
 /// Observable-specific golden detection (exact, from the upstream
 /// fragment's statevector).
 ///
-/// `observable` must be diagonal over the ORIGINAL circuit's qubits and must
-/// factorize across the bipartition (every Z/I Pauli string does). The
-/// condition tested per (cut, Pauli) is Definition 1 with
-/// O_f1 = the observable's factor on the upstream output qubits:
+/// `graph` must have two fragments (make_fragment_graph). `observable` must
+/// be diagonal over the ORIGINAL circuit's qubits and must factorize across
+/// the two fragments (every Z/I Pauli string does). The condition tested per
+/// (cut, Pauli) is Definition 1 with O_f1 = the observable's factor on the
+/// upstream output qubits:
 ///   |sum_r r tr(O_f1 rho_f1(M^r))| <= tol for every context of other cuts.
 ///
 /// This is weaker than the distribution-level test, so the returned spec
 /// neglects at least as many elements as detect_golden_exact's.
 [[nodiscard]] GoldenDetectionReport detect_golden_for_observable(
-    const Bipartition& bp, const DiagonalObservable& observable, double tol = 1e-9);
+    const FragmentGraph& graph, const DiagonalObservable& observable, double tol = 1e-9);
 
 /// Non-throwing variant used by the observable-aware planner: returns
-/// nullopt when the observable does not factorize across the bipartition
+/// nullopt when the observable does not factorize across the two fragments
 /// (instead of throwing), so candidate cuts can fall back to the
 /// distribution-level detector.
 [[nodiscard]] std::optional<GoldenDetectionReport> try_detect_golden_for_observable(
-    const Bipartition& bp, const DiagonalObservable& observable, double tol = 1e-9);
-
-/// Expectation of a diagonal observable from fragment data under a spec
-/// (thin wrapper over reconstruct_diagonal_expectation).
-[[nodiscard]] double estimate_expectation(const Bipartition& bp, const FragmentData& data,
-                                          const NeglectSpec& spec,
-                                          const DiagonalObservable& observable);
+    const FragmentGraph& graph, const DiagonalObservable& observable, double tol = 1e-9);
 
 /// A general (non-diagonal) Pauli observable reduced to the diagonal case:
 /// the circuit is extended with the standard basis rotations (X -> H,

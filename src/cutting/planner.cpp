@@ -11,8 +11,8 @@ namespace qcut::cutting {
 namespace {
 
 /// Enumeration skeleton shared by the single-cut and chain planners:
-/// visits every valid single-cut bipartition as
-/// visit(point, analysis, bipartition, up_op, down_op).
+/// visits every valid single cut as
+/// visit(point, analysis, two-fragment graph, up_op, down_op).
 template <typename Visit>
 void for_each_single_cut(const Circuit& circuit, Visit&& visit) {
   for (int q = 0; q < circuit.num_qubits(); ++q) {
@@ -24,19 +24,19 @@ void for_each_single_cut(const Circuit& circuit, Visit&& visit) {
       const std::optional<circuit::CutAnalysis> analysis =
           circuit::try_analyze_cuts(circuit, cuts);
       if (!analysis.has_value()) continue;
-      visit(point, *analysis, make_bipartition(circuit, cuts), ops[i], ops[i + 1]);
+      visit(point, *analysis, make_fragment_graph(circuit, cuts), ops[i], ops[i + 1]);
     }
   }
 }
 
-/// CutCandidate from one analyzed bipartition and its golden report.
-CutCandidate make_candidate(const WirePoint& point, const Bipartition& bp,
+/// CutCandidate from one analyzed single cut and its golden report.
+CutCandidate make_candidate(const WirePoint& point, const FragmentGraph& graph,
                             const GoldenDetectionReport& report) {
   const NeglectSpec spec = report.to_spec();
   CutCandidate candidate;
   candidate.point = point;
-  candidate.f1_width = bp.f1_width();
-  candidate.f2_width = bp.f2_width();
+  candidate.f1_width = graph.fragments[0].width();
+  candidate.f2_width = graph.fragments[1].width();
   candidate.violation = report.violation.front();
   for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
     if (report.golden.front()[static_cast<std::size_t>(p)]) {
@@ -48,14 +48,14 @@ CutCandidate make_candidate(const WirePoint& point, const Bipartition& bp,
   return candidate;
 }
 
-/// Candidate list; `detect` maps a bipartition to the golden report that
-/// should rank it.
+/// Candidate list; `detect` maps a two-fragment graph to the golden report
+/// that should rank it.
 template <typename Detect>
 std::vector<CutCandidate> enumerate_with(const Circuit& circuit, Detect&& detect) {
   std::vector<CutCandidate> candidates;
   for_each_single_cut(circuit, [&](const WirePoint& point, const circuit::CutAnalysis&,
-                                   const Bipartition& bp, std::size_t, std::size_t) {
-    candidates.push_back(make_candidate(point, bp, detect(bp)));
+                                   const FragmentGraph& graph, std::size_t, std::size_t) {
+    candidates.push_back(make_candidate(point, graph, detect(graph)));
   });
   return candidates;
 }
@@ -80,19 +80,20 @@ std::optional<CutCandidate> pick_best(std::vector<CutCandidate> candidates,
 }  // namespace
 
 std::vector<CutCandidate> enumerate_single_cuts(const Circuit& circuit, double golden_tol) {
-  return enumerate_with(circuit,
-                        [&](const Bipartition& bp) { return detect_golden_exact(bp, golden_tol); });
+  return enumerate_with(circuit, [&](const FragmentGraph& graph) {
+    return detect_golden_exact(graph, golden_tol);
+  });
 }
 
 std::vector<CutCandidate> enumerate_single_cuts(const Circuit& circuit,
                                                 const DiagonalObservable& observable,
                                                 double golden_tol) {
-  return enumerate_with(circuit, [&](const Bipartition& bp) {
+  return enumerate_with(circuit, [&](const FragmentGraph& graph) {
     std::optional<GoldenDetectionReport> report =
-        try_detect_golden_for_observable(bp, observable, golden_tol);
+        try_detect_golden_for_observable(graph, observable, golden_tol);
     // Non-factorizing candidates keep the distribution-level (stronger,
     // hence conservative) verdict.
-    return report.has_value() ? std::move(*report) : detect_golden_exact(bp, golden_tol);
+    return report.has_value() ? std::move(*report) : detect_golden_exact(graph, golden_tol);
   });
 }
 
@@ -125,13 +126,13 @@ std::vector<ChainCandidate> enumerate_chain_candidates(const Circuit& circuit, d
   std::vector<ChainCandidate> out;
   for_each_single_cut(circuit, [&](const WirePoint& point,
                                    const circuit::CutAnalysis& analysis,
-                                   const Bipartition& bp, std::size_t up_op,
+                                   const FragmentGraph& graph, std::size_t up_op,
                                    std::size_t down_op) {
-    const GoldenDetectionReport report = detect_golden_exact(bp, tol);
+    const GoldenDetectionReport report = detect_golden_exact(graph, tol);
     const NeglectSpec spec = report.to_spec();
 
     ChainCandidate candidate;
-    candidate.info = make_candidate(point, bp, report);
+    candidate.info = make_candidate(point, graph, report);
     candidate.upstream_ops.assign(circuit.num_ops(), false);
     for (std::size_t op = 0; op < circuit.num_ops(); ++op) {
       if (analysis.op_fragment[op] == circuit::FragmentId::Upstream) {

@@ -66,198 +66,15 @@ std::vector<double> accumulate_terms(parallel::ThreadPool* pool, std::uint64_t n
   return joint;
 }
 
-/// Index plumbing shared by all reconstruction entry points.
-struct Layout {
-  std::vector<int> f1_cut_qubits;   // f1-local positions of the cut bits
-  std::vector<int> f1_out_qubits;   // f1-local positions of the output bits
-  std::vector<int> f1_out_original; // original qubit per f1 output bit
-  std::vector<int> f2_original;     // original qubit per f2 bit
-  index_t out_dim = 0;              // 2^(f1 outputs)
-  index_t f1_dim = 0;
-  index_t f2_dim = 0;
-  index_t cut_dim = 0;              // 2^K
-  int num_cuts = 0;
-
-  explicit Layout(const Bipartition& bp) {
-    num_cuts = bp.num_cuts();
-    f1_cut_qubits = bp.f1_cut_qubits();
-    f1_out_qubits = bp.f1_output_qubits;
-    for (int local : bp.f1_output_qubits) {
-      f1_out_original.push_back(bp.f1_to_original[static_cast<std::size_t>(local)]);
-    }
-    f2_original = bp.f2_to_original;
-    out_dim = pow2(static_cast<int>(f1_out_qubits.size()));
-    f1_dim = pow2(bp.f1_width());
-    f2_dim = pow2(bp.f2_width());
-    cut_dim = pow2(num_cuts);
-  }
-
-  /// Eigenvalue weight table: weight[a] = prod_k w(M_k, bit_k(a)). Computed
-  /// once per active string and cached by the callers (not per tensor, not
-  /// per term).
-  [[nodiscard]] std::vector<double> weights(std::span<const Pauli> basis) const {
-    std::vector<double> w(cut_dim);
-    for (index_t a = 0; a < cut_dim; ++a) {
-      double acc = 1.0;
-      for (int k = 0; k < num_cuts; ++k) {
-        acc *= eigenvalue_weight(basis[static_cast<std::size_t>(k)], bit(a, k));
-      }
-      w[a] = acc;
-    }
-    return w;
-  }
-
-  /// u_M[b1] from the upstream distribution of the string's setting tuple.
-  [[nodiscard]] std::vector<double> upstream_tensor(std::span<const Pauli> basis,
-                                                    const FragmentData& data,
-                                                    std::span<const double> w) const {
-    const std::vector<double>& probs =
-        data.upstream_distribution(settings_index_for_basis(basis));
-    std::vector<double> u(out_dim, 0.0);
-    for (index_t o = 0; o < f1_dim; ++o) {
-      const double p = probs[o];
-      if (p == 0.0) continue;
-      const index_t b1 = gather_bits(o, f1_out_qubits);
-      const index_t a = gather_bits(o, f1_cut_qubits);
-      u[b1] += w[a] * p;
-    }
-    return u;
-  }
-
-  /// v_M[b2] summed over the string's preparation tuples.
-  [[nodiscard]] std::vector<double> downstream_tensor(std::span<const Pauli> basis,
-                                                      const FragmentData& data,
-                                                      std::span<const double> w) const {
-    std::vector<double> v(f2_dim, 0.0);
-    for (index_t a = 0; a < cut_dim; ++a) {
-      const std::vector<double>& probs = data.downstream_distribution(
-          preps_index_for_basis(basis, static_cast<std::uint32_t>(a)));
-      const double weight = w[a];
-      for (index_t b2 = 0; b2 < f2_dim; ++b2) {
-        v[b2] += weight * probs[b2];
-      }
-    }
-    return v;
-  }
-};
-
-void check_inputs(const Bipartition& bp, const FragmentData& data, const NeglectSpec& spec) {
-  QCUT_CHECK(spec.num_cuts() == bp.num_cuts(),
-             "reconstruct: spec cut count must match the bipartition");
-  QCUT_CHECK(data.num_cuts == bp.num_cuts() && data.f1_width == bp.f1_width() &&
-                 data.f2_width == bp.f2_width(),
-             "reconstruct: fragment data does not match the bipartition");
-}
-
 }  // namespace
 
 std::vector<double> ReconstructionResult::probabilities() const {
   return metrics::clip_and_normalize(raw_probabilities);
 }
 
-ReconstructionResult reconstruct_distribution(const Bipartition& bp, const FragmentData& data,
-                                              const NeglectSpec& spec,
-                                              const ReconstructionOptions& options) {
-  check_inputs(bp, data, spec);
-  Stopwatch timer;
-
-  const Layout layout(bp);
-  const std::vector<std::vector<Pauli>> strings = spec.active_strings();
-  const double coefficient = 1.0 / static_cast<double>(layout.cut_dim);
-  const index_t full_dim = pow2(bp.num_original_qubits);
-
-  parallel::ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : parallel::ThreadPool::global();
-
-  // Per-string tensors, precomputed into disjoint slots: each string's
-  // weight table is built once and feeds both of its tensors.
-  std::vector<std::vector<double>> u(strings.size());
-  std::vector<std::vector<double>> v(strings.size());
-  parallel::parallel_for(pool, 0, strings.size(), [&](std::size_t s) {
-    const std::vector<double> w = layout.weights(strings[s]);
-    u[s] = layout.upstream_tensor(strings[s], data, w);
-    v[s] = layout.downstream_tensor(strings[s], data, w);
-  });
-
-  std::vector<double> joint = accumulate_terms(
-      &pool, strings.size(), full_dim, [&](std::uint64_t t, std::vector<double>& local) {
-        const std::vector<double>& u_t = u[t];
-        const std::vector<double>& v_t = v[t];
-        for (index_t b1 = 0; b1 < layout.out_dim; ++b1) {
-          const double u_val = u_t[b1];
-          if (u_val == 0.0) continue;
-          const index_t base = scatter_bits(b1, layout.f1_out_original);
-          for (index_t b2 = 0; b2 < layout.f2_dim; ++b2) {
-            const double v_val = v_t[b2];
-            if (v_val == 0.0) continue;
-            local[base | scatter_bits(b2, layout.f2_original)] +=
-                coefficient * u_val * v_val;
-          }
-        }
-      });
-
-  ReconstructionResult result;
-  result.raw_probabilities = std::move(joint);
-  result.terms = strings.size();
-  result.seconds = timer.elapsed_seconds();
-  return result;
-}
-
-double reconstruct_probability_of(const Bipartition& bp, const FragmentData& data,
-                                  const NeglectSpec& spec, index_t outcome) {
-  check_inputs(bp, data, spec);
-  QCUT_CHECK(outcome < pow2(bp.num_original_qubits),
-             "reconstruct_probability_of: outcome out of range");
-
-  const Layout layout(bp);
-  const double coefficient = 1.0 / static_cast<double>(layout.cut_dim);
-
-  // Original outcome -> fragment-local outcome pieces.
-  index_t b1 = 0;
-  for (std::size_t j = 0; j < layout.f1_out_original.size(); ++j) {
-    if (bit(outcome, layout.f1_out_original[j]) != 0) b1 = set_bit(b1, static_cast<int>(j));
-  }
-  index_t b2 = 0;
-  for (std::size_t j = 0; j < layout.f2_original.size(); ++j) {
-    if (bit(outcome, layout.f2_original[j]) != 0) b2 = set_bit(b2, static_cast<int>(j));
-  }
-
-  double total = 0.0;
-  for (const std::vector<Pauli>& basis : spec.active_strings()) {
-    const std::vector<double> w = layout.weights(basis);
-    const std::vector<double> u = layout.upstream_tensor(basis, data, w);
-    double v = 0.0;
-    for (index_t a = 0; a < layout.cut_dim; ++a) {
-      const std::vector<double>& probs = data.downstream_distribution(
-          preps_index_for_basis(basis, static_cast<std::uint32_t>(a)));
-      v += w[a] * probs[b2];
-    }
-    total += coefficient * u[b1] * v;
-  }
-  return total;
-}
-
-double reconstruct_diagonal_expectation(const Bipartition& bp, const FragmentData& data,
-                                        const NeglectSpec& spec,
-                                        std::span<const double> diagonal,
-                                        const ReconstructionOptions& options) {
-  QCUT_CHECK(diagonal.size() == pow2(bp.num_original_qubits),
-             "reconstruct_diagonal_expectation: diagonal length must be 2^n");
-  const ReconstructionResult result = reconstruct_distribution(bp, data, spec, options);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < diagonal.size(); ++i) {
-    acc += diagonal[i] * result.raw_probabilities[i];
-  }
-  return acc;
-}
-
-// ---- Chain reconstruction ---------------------------------------------------
-
 namespace {
 
-/// Index plumbing for the chain contraction. At N=2 every step below is the
-/// operation the Layout above performs, in the same order, so the results
-/// agree bit for bit.
+/// Index plumbing for the chain contraction.
 struct ChainLayout {
   const FragmentGraph& graph;
   std::vector<index_t> full_dims;  // 2^{width} per fragment

@@ -3,12 +3,20 @@
 // fragment data (Eq. 13/14 of the paper, specialized to the bitstring
 // distribution: O = projector onto each output bitstring).
 //
-// For each active Pauli basis string M in B^K the contraction computes
+// One global term is a choice of one active basis string per boundary; its
+// contribution is contracted boundary by boundary along the chain: each
+// fragment folds its incoming boundary's eigenstate slots (weighted by the
+// incoming string's eigenvalues) and its outgoing boundary's measured
+// tomography bits (weighted by the outgoing string's) into a tensor over
+// its final bits, and the term is the scattered product of those per-
+// fragment tensors times prod_b 1/2^{K_b}. For the paper's two-fragment cut
+// with basis string M this is
 //   u_M[b1] = sum_{a in {0,1}^K} (prod_k w(M_k, a_k)) * p_f1(b1, a | settings(M))
 //   v_M[b2] = sum_{a in {0,1}^K} (prod_k w(M_k, a_k)) * p_f2(b2 | preps(M, a))
-// and accumulates (1/2^K) * u_M[b1] * v_M[b2] into the joint distribution.
-// Neglected basis strings (golden cutting points) are simply skipped, which
-// is the 4^K -> 4^Kr 3^Kg runtime reduction the paper reports.
+// accumulated as (1/2^K) * u_M[b1] * v_M[b2] into the joint distribution.
+// Terms containing a neglected string at any boundary (golden cutting
+// points) are skipped, so the paper's 4^K -> 4^Kr 3^Kg runtime reduction
+// multiplies across boundaries.
 
 #include <cstdint>
 #include <vector>
@@ -18,9 +26,9 @@
 namespace qcut::cutting {
 
 struct ReconstructionOptions {
-  /// Pool used to parallelize over basis strings (chain contractions only
-  /// when they reach kMinParallelReconstructionWork); nullptr selects the
-  /// global pool.
+  /// Pool used to parallelize over basis strings (only when a contraction
+  /// reaches kMinParallelReconstructionWork); nullptr selects the global
+  /// pool.
   parallel::ThreadPool* pool = nullptr;
 };
 
@@ -39,40 +47,7 @@ struct ReconstructionResult {
   [[nodiscard]] std::vector<double> probabilities() const;
 };
 
-/// Contracts fragment data into the distribution of the uncut circuit.
-/// Only strings active under `spec` are evaluated; the fragment data must
-/// contain every setting/prep tuple those strings need.
-[[nodiscard]] ReconstructionResult reconstruct_distribution(
-    const Bipartition& bp, const FragmentData& data, const NeglectSpec& spec,
-    const ReconstructionOptions& options = {});
-
-/// Reconstructs the probability of a single outcome bitstring without
-/// forming the full distribution.
-[[nodiscard]] double reconstruct_probability_of(const Bipartition& bp, const FragmentData& data,
-                                                const NeglectSpec& spec, index_t outcome);
-
-/// Expectation of a diagonal observable diag over the reconstructed
-/// distribution: sum_x diag[x] * p[x] (raw, not clipped).
-[[nodiscard]] double reconstruct_diagonal_expectation(const Bipartition& bp,
-                                                      const FragmentData& data,
-                                                      const NeglectSpec& spec,
-                                                      std::span<const double> diagonal,
-                                                      const ReconstructionOptions& options = {});
-
-// ---- Chain (N-fragment) reconstruction --------------------------------------
-//
-// One global term is a choice of one active basis string per boundary; its
-// contribution is contracted boundary by boundary along the chain: each
-// fragment folds its incoming boundary's eigenstate slots (weighted by the
-// incoming string's eigenvalues) and its outgoing boundary's measured
-// tomography bits (weighted by the outgoing string's) into a tensor over
-// its final bits, and the term is the scattered product of those per-
-// fragment tensors times prod_b 1/2^{K_b}. Terms containing a neglected
-// string at any boundary are skipped, so the paper's 4^K -> 4^Kr 3^Kg
-// saving multiplies across boundaries. At N=2 the arithmetic is the
-// u_M (x) v_M outer product above, operation for operation.
-
-/// Chain reconstruction fans out over the pool only when its work estimate
+/// Reconstruction fans out over the pool only when its work estimate
 /// reaches this many multiply-adds: outcomes x active terms, plus one pass
 /// over each fragment distribution per fragment tensor and incoming
 /// eigenstate slot. Below it, tensors and terms run inline on the calling
@@ -88,8 +63,9 @@ struct ReconstructionResult {
 /// of the threshold.
 inline constexpr std::uint64_t kMinParallelReconstructionWork = std::uint64_t{1} << 18;
 
-/// Contracts chain fragment data into the distribution of the uncut
-/// circuit. The data must contain every variant the active terms need.
+/// Contracts fragment data into the distribution of the uncut circuit.
+/// Only terms active under `spec` are evaluated; the data must contain every
+/// variant those terms need.
 [[nodiscard]] ReconstructionResult reconstruct_distribution(
     const FragmentGraph& graph, const ChainFragmentData& data, const ChainNeglectSpec& spec,
     const ReconstructionOptions& options = {});
@@ -100,7 +76,8 @@ inline constexpr std::uint64_t kMinParallelReconstructionWork = std::uint64_t{1}
                                                 const ChainFragmentData& data,
                                                 const ChainNeglectSpec& spec, index_t outcome);
 
-/// Expectation of a diagonal observable over the raw chain reconstruction.
+/// Expectation of a diagonal observable diag over the reconstructed
+/// distribution: sum_x diag[x] * p[x] (raw, not clipped).
 [[nodiscard]] double reconstruct_diagonal_expectation(const FragmentGraph& graph,
                                                       const ChainFragmentData& data,
                                                       const ChainNeglectSpec& spec,

@@ -30,10 +30,13 @@ struct DistributionUncertainty {
   std::vector<double> ci_upper;
 };
 
-/// Bootstraps the reconstructed distribution. `data` must be sampled
-/// (shots_per_variant > 0); exact data has no sampling error.
+/// Bootstraps the reconstructed distribution of any fragment chain. `data`
+/// must be sampled (shots_per_variant > 0); exact data has no sampling
+/// error. Each replica resamples fragment by fragment, every fragment's
+/// variants in ascending pack_variant_key order, so replicas are a pure
+/// function of (data, seed).
 [[nodiscard]] DistributionUncertainty bootstrap_distribution(
-    const Bipartition& bp, const FragmentData& data, const NeglectSpec& spec,
+    const FragmentGraph& graph, const ChainFragmentData& data, const ChainNeglectSpec& spec,
     const BootstrapOptions& options = {});
 
 /// Uncertainty of one diagonal-observable expectation.
@@ -44,8 +47,10 @@ struct ExpectationUncertainty {
   double ci_upper = 0.0;
 };
 
+/// Bootstraps one diagonal-observable expectation, resampling as
+/// bootstrap_distribution does.
 [[nodiscard]] ExpectationUncertainty bootstrap_expectation(
-    const Bipartition& bp, const FragmentData& data, const NeglectSpec& spec,
+    const FragmentGraph& graph, const ChainFragmentData& data, const ChainNeglectSpec& spec,
     const DiagonalObservable& observable, const BootstrapOptions& options = {});
 
 }  // namespace qcut::cutting

@@ -8,8 +8,9 @@
 // need and the setting tuples the outgoing boundary's need. Given
 // per-boundary NeglectSpecs, only those required tuples are generated -
 // this is where golden cutting points save circuit evaluations (9 -> 6 per
-// single-cut boundary), and the savings multiply along the chain. The
-// legacy upstream/downstream variants are the N=2 specialization.
+// single-cut boundary), and the savings multiply along the chain. In the
+// paper's two-fragment split, fragment 0's variants are the upstream
+// measurement settings and fragment 1's the downstream preparations.
 
 #include <cstdint>
 #include <span>
@@ -21,33 +22,14 @@
 
 namespace qcut::cutting {
 
-struct UpstreamVariant {
-  std::uint32_t setting_index = 0;        // mixed-radix base-3 tuple code
-  std::vector<MeasSetting> settings;      // per cut, cut order
-  Circuit circuit{1};                     // f1 + basis rotations
-};
-
-struct DownstreamVariant {
-  std::uint32_t prep_index = 0;           // mixed-radix base-6 tuple code
-  std::vector<PrepState> preps;           // per cut, cut order
-  Circuit circuit{1};                     // preparations + f2
-};
-
 /// Setting tuple codes required by the active basis strings (sorted).
 [[nodiscard]] std::vector<std::uint32_t> required_setting_indices(const NeglectSpec& spec);
 
 /// Prep tuple codes required by the active basis strings (sorted).
 [[nodiscard]] std::vector<std::uint32_t> required_prep_indices(const NeglectSpec& spec);
 
-/// Builds the upstream variant circuit for one setting tuple.
-[[nodiscard]] UpstreamVariant make_upstream_variant(const Bipartition& bp,
-                                                    std::uint32_t setting_index);
-
-/// Builds the downstream variant circuit for one prep tuple.
-[[nodiscard]] DownstreamVariant make_downstream_variant(const Bipartition& bp,
-                                                        std::uint32_t prep_index);
-
-/// Total circuit evaluations (upstream + downstream variants) under a spec.
+/// Total circuit evaluations of a two-fragment cut (upstream settings +
+/// downstream preparations) under a spec.
 struct VariantCounts {
   std::size_t upstream = 0;
   std::size_t downstream = 0;

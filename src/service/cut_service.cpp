@@ -385,7 +385,7 @@ void CutService::admit(const JobPtr& job) {
     }
     case GoldenMode::DetectExact: {
       // Per boundary: observable targets use the observable-specific
-      // detector on the boundary's prefix/suffix bipartition, which is
+      // detector on the boundary's prefix/suffix two-fragment graph, which is
       // weaker than the distribution-level test and so neglects at least as
       // many elements (Definition 1 is observable-dependent). When the
       // observable does not factorize across a boundary the distribution-
@@ -401,16 +401,15 @@ void CutService::admit(const JobPtr& job) {
       const double golden_tol = j.shed ? j.shed_golden_tol : opt.golden_tol;
       std::vector<NeglectSpec> specs;
       for (const std::vector<circuit::WirePoint>& boundary : r.boundaries) {
-        const cutting::Bipartition bp =
-            cutting::make_bipartition(j.resolved.circuit, boundary);
+        const FragmentGraph split = cutting::make_fragment_graph(j.resolved.circuit, boundary);
         std::optional<cutting::GoldenDetectionReport> observable_report;
         if (j.resolved.observable.has_value()) {
           observable_report = cutting::try_detect_golden_for_observable(
-              bp, *j.resolved.observable, golden_tol);
+              split, *j.resolved.observable, golden_tol);
         }
         const cutting::GoldenDetectionReport report =
             observable_report.has_value() ? *observable_report
-                                          : cutting::detect_golden_exact(bp, golden_tol);
+                                          : cutting::detect_golden_exact(split, golden_tol);
         if (j.shed) {
           for (std::size_t k = 0; k < report.golden.size(); ++k) {
             for (std::size_t p = 0; p < 4; ++p) {
@@ -495,8 +494,8 @@ void CutService::issue_wave(const JobPtr& job, const std::vector<WaveVariant>& v
   // DetectOnline on an N>2 chain amortizes ONE total budget across the
   // per-fragment waves: each wave draws remaining / waves_left, so the job
   // never spends more than total_shot_budget overall. N=2 keeps the
-  // historical full-budget-per-wave split (bit-for-bit parity with the
-  // pre-chain upstream/downstream pipeline).
+  // full-budget-per-wave split (each of its two waves plans the whole
+  // budget, as the two-fragment online pipeline always has).
   std::size_t wave_budget = opt.total_shot_budget;
   const bool amortized = j.phase == JobPhase::ExecutingFragmentWave &&
                          graph.num_fragments() > 2 && opt.total_shot_budget > 0;
@@ -755,18 +754,12 @@ void CutService::handle_fragment_wave_complete(const JobPtr& job) {
       f > 0 ? cutting::required_prep_indices(j.response.specs.boundary(f - 1))
             : std::vector<std::uint32_t>{0};
 
-  cutting::FragmentLayout layout;
-  layout.num_cuts = graph.boundaries[static_cast<std::size_t>(f)].num_cuts();
-  layout.width = fragment.width();
-  layout.cut_qubits = fragment.out_cut_qubits;
-  layout.out_qubits = fragment.output_qubits;
-
   // Smallest per-variant shot count of this wave as the test's sample size
   // (conservative when a total budget splits unevenly).
   const std::uint64_t detect_start_ns =
       j.traced ? telemetry::Tracer::global().now_ns() : 0;
   const cutting::GoldenDetectionReport detection = cutting::detect_golden_from_counts_core(
-      layout, contexts.size(),
+      fragment, contexts.size(),
       [&](std::size_t context, std::uint32_t setting) -> const std::vector<double>& {
         return j.response.data.distribution(f, FragmentVariantKey{contexts[context], setting});
       },
@@ -779,33 +772,6 @@ void CutService::handle_fragment_wave_complete(const JobPtr& job) {
   ++j.wave_fragment;
   issue_wave(job, fragment_wave(graph, j.response.specs, j.wave_fragment));
 }
-
-namespace {
-
-/// Two-fragment view of chain data for the (N=2 only) bootstrap path.
-cutting::FragmentData to_fragment_data(const cutting::ChainFragmentData& data) {
-  cutting::FragmentData out;
-  out.num_cuts = data.boundary_num_cuts.front();
-  out.f1_width = data.fragments[0].width;
-  out.f2_width = data.fragments[1].width;
-  out.shots_per_variant = data.shots_per_variant;
-  out.total_jobs = data.total_jobs;
-  out.total_shots = data.total_shots;
-  out.wall_seconds = data.wall_seconds;
-  // qcut-lint: allow(no-unordered-iteration) -- re-keys each variant into a
-  // map keyed by its setting index; no visit-order-dependent state is touched.
-  for (const auto& [packed, dist] : data.fragments[0].variants) {
-    out.upstream.emplace(cutting::unpack_variant_key(packed).setting_index, dist);
-  }
-  // qcut-lint: allow(no-unordered-iteration) -- re-keys each variant into a
-  // map keyed by its prep index; no visit-order-dependent state is touched.
-  for (const auto& [packed, dist] : data.fragments[1].variants) {
-    out.downstream.emplace(cutting::unpack_variant_key(packed).prep_index, dist);
-  }
-  return out;
-}
-
-}  // namespace
 
 void CutService::reconstruct_and_finish(const JobPtr& job) {
   CutJob& j = *job;
@@ -826,20 +792,17 @@ void CutService::reconstruct_and_finish(const JobPtr& job) {
       j.response.graph, j.response.data, j.response.specs, recon);
 
   if (j.resolved.observable.has_value()) {
-    // Same fold as estimate_expectation over the same raw reconstruction:
-    // bit-for-bit identical to the direct expectation path at equal pools.
+    // Same fold as reconstruct_diagonal_expectation over the same raw
+    // reconstruction: bit-for-bit identical to the direct expectation path
+    // at equal pools.
     j.response.expectation =
         j.resolved.observable->expectation(j.response.reconstruction.raw_probabilities);
     if (j.traced) record_job_phase(j, "job.reconstruct", reconstruct_start_ns, tracer.now_ns());
     if (j.request.bootstrap.has_value()) {
-      // Validation restricts bootstrap to two-fragment selections (chain
-      // bootstrap is a ROADMAP open item).
-      QCUT_CHECK(j.response.graph.num_fragments() == 2,
-                 "CutService: bootstrap uncertainty requires a two-fragment cut");
       const std::uint64_t bootstrap_start_ns = j.traced ? tracer.now_ns() : 0;
-      j.response.uncertainty = cutting::bootstrap_expectation(
-          cutting::to_bipartition(j.response.graph), to_fragment_data(j.response.data),
-          j.response.specs.boundary(0), *j.resolved.observable, *j.request.bootstrap);
+      j.response.uncertainty =
+          cutting::bootstrap_expectation(j.response.graph, j.response.data, j.response.specs,
+                                         *j.resolved.observable, *j.request.bootstrap);
       if (j.traced) record_job_phase(j, "job.bootstrap", bootstrap_start_ns, tracer.now_ns());
     }
   } else if (j.traced) {

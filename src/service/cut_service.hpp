@@ -23,7 +23,7 @@
 // every variant.
 //
 // Determinism: given equal seeds the service produces distributions
-// bit-for-bit identical to the direct execute_fragments +
+// bit-for-bit identical to the direct execute_chain +
 // reconstruct_distribution path, regardless of concurrency, caching, or
 // dedup - seed streams are assigned per variant, not per schedule.
 

@@ -10,7 +10,8 @@
 // f's measured data prunes boundary f's spec before fragment f+1 executes —
 // which is why the phase machine exists at all: requests interleave at wave
 // granularity instead of blocking the service on one request's detector.
-// (The historical two waves of the N=2 pipeline are the 2-fragment chain.)
+// (A two-fragment online run is two waves: upstream, then the pruned
+// downstream.)
 //
 // The target never enters the variant cache key (a variant's outcome
 // distribution does not depend on what is estimated from it), so a
@@ -85,8 +86,8 @@ struct CutJob {
   int wave_fragment = 0;  // online mode: which fragment the current wave runs
   /// DetectOnline with a total_shot_budget on an N>2 chain: the budget not
   /// yet committed to earlier waves (one budget amortized across all
-  /// fragment waves). Unused at N=2, which keeps the historical
-  /// full-budget-per-wave split for bit-for-bit parity.
+  /// fragment waves). Unused at N=2, which keeps the full-budget-per-wave
+  /// split its pinned results were produced with.
   std::size_t online_budget_remaining = 0;
   cutting::CutResponse response;
 

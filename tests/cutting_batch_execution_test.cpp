@@ -267,50 +267,6 @@ TEST(BatchedExecution, ExecuteChainBatchedEqualsPerVariantEverywhere) {
   }
 }
 
-/// The historical bipartition executors honor prefix_batching too: the
-/// upstream-only half (every setting shares the entire f1 body) is the
-/// best case for sharing and must stay bit-for-bit.
-TEST(BatchedExecution, BipartitionExecutorsBatchedEqualPerVariant) {
-  Rng rng(43);
-  circuit::GoldenAnsatzOptions options;
-  options.num_qubits = 5;
-  const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
-  const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
-  const NeglectSpec spec = NeglectSpec::none(1);
-
-  ExecutionOptions serial_exec;
-  serial_exec.shots_per_variant = 1300;
-  serial_exec.prefix_batching = false;
-  ExecutionOptions batched_exec = serial_exec;
-  batched_exec.prefix_batching = true;
-
-  const auto expect_equal = [](const FragmentData& a, const FragmentData& b) {
-    EXPECT_EQ(a.total_jobs, b.total_jobs);
-    EXPECT_EQ(a.total_shots, b.total_shots);
-    ASSERT_EQ(a.upstream.size(), b.upstream.size());
-    ASSERT_EQ(a.downstream.size(), b.downstream.size());
-    for (const auto& [setting, dist] : a.upstream) {
-      EXPECT_EQ(b.upstream_distribution(setting), dist);
-    }
-    for (const auto& [prep, dist] : a.downstream) {
-      EXPECT_EQ(b.downstream_distribution(prep), dist);
-    }
-  };
-
-  backend::StatevectorBackend serial_full(3), batched_full(3);
-  expect_equal(execute_fragments(bp, spec, serial_full, serial_exec),
-               execute_fragments(bp, spec, batched_full, batched_exec));
-
-  backend::StatevectorBackend serial_up(3), batched_up(3);
-  expect_equal(execute_upstream_only(bp, spec, serial_up, serial_exec),
-               execute_upstream_only(bp, spec, batched_up, batched_exec));
-
-  backend::StatevectorBackend serial_down(3), batched_down(3);
-  expect_equal(execute_downstream_only(bp, spec, serial_down, serial_exec),
-               execute_downstream_only(bp, spec, batched_down, batched_exec));
-}
-
 /// The service with prefix batching on vs off, across every GoldenMode x
 /// {sampled, exact} x {StatevectorBackend, NoisyBackend fallback}: identical
 /// CutResponse reconstructions and logical totals.

@@ -199,13 +199,13 @@ TEST(ChainRequest, ValidationCatchesChainSpecificMistakes) {
     request.with_boundaries({{WirePoint{2, 3}}, {}});
     EXPECT_THROW(validate(request), Error);
   }
-  // Bootstrap on a multi-boundary chain is deferred.
+  // Bootstrap is not one of them: it works on any chain.
   {
     CutRequest request(c);
     request.with_boundaries(boundaries)
         .with_observable(DiagonalObservable::parity(7))
         .with_uncertainty();
-    EXPECT_THROW(validate(request), Error);
+    EXPECT_NO_THROW(validate(request));
   }
 }
 

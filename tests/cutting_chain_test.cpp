@@ -1,7 +1,7 @@
 // Chain cutting end to end: exact 3-fragment reconstruction against the
 // statevector ground truth, per-boundary golden neglection, agreement of the
 // single-outcome and diagonal-expectation paths with the full distribution,
-// and bit-for-bit N=2 equivalence with the pre-chain Bipartition pipeline.
+// and pinned two-fragment results.
 
 #include <gtest/gtest.h>
 
@@ -175,8 +175,7 @@ std::uint64_t pool_tasks_during(const std::function<void()>& fn) {
 /// 2-cut ansatz and a 14-qubit brick chain) above 2^19. On both sides the
 /// result is bit for bit the same at every pool size, including a
 /// single-worker pool (which never dispatches), with and without golden
-/// neglect; and at N=2 it equals the Bipartition path, whose accumulation
-/// always takes the pool.
+/// neglect.
 TEST(ChainCutting, InlineAndPooledReconstructionAgreeAcrossTheWorkThreshold) {
   parallel::ThreadPool one(1);
   parallel::ThreadPool three(3);
@@ -185,47 +184,22 @@ TEST(ChainCutting, InlineAndPooledReconstructionAgreeAcrossTheWorkThreshold) {
   ReconstructionOptions pooled;
   pooled.pool = &three;
 
-  {
-    Rng rng(31);
-    circuit::GoldenAnsatzOptions small_options;
-    small_options.num_qubits = 5;
-    const circuit::GoldenAnsatz small = circuit::make_golden_ansatz(small_options, rng);
-    circuit::MultiCutAnsatzOptions wide_options;
-    wide_options.num_cuts = 2;
-    wide_options.block_width = 7;
-    const circuit::MultiCutAnsatz wide = circuit::make_multi_cut_golden_ansatz(wide_options, rng);
-    const std::array<std::pair<const Circuit*, std::vector<WirePoint>>, 2> pairs = {
-        std::pair{&small.circuit, std::vector<WirePoint>{small.cut}},
-        std::pair{&wide.circuit, wide.cuts}};
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const auto& [c, cuts] = pairs[i];
-      const Bipartition bp = make_bipartition(*c, cuts);
-      const FragmentGraph graph = make_fragment_graph(*c, cuts);
-      const NeglectSpec spec = NeglectSpec::none(bp.num_cuts());
-      const ChainNeglectSpec chain_spec{{spec}};
-      ExecutionOptions exec;
-      exec.shots_per_variant = 1000;
-      backend::StatevectorBackend direct_backend(3);
-      const FragmentData direct = execute_fragments(bp, spec, direct_backend, exec);
-      backend::StatevectorBackend chain_backend(3);
-      const ChainFragmentData data = execute_chain(graph, chain_spec, chain_backend, exec);
-      std::vector<double> chained;
-      EXPECT_EQ(pool_tasks_during([&] {
-                  chained = reconstruct_distribution(graph, data, chain_spec, pooled)
-                                .raw_probabilities;
-                }) > 0,
-                i == 1)
-          << "two-fragment case " << i;
-      EXPECT_EQ(chained, reconstruct_distribution(bp, direct, spec).raw_probabilities)
-          << "two-fragment case " << i;
-    }
-  }
-
+  Rng rng(31);
+  circuit::GoldenAnsatzOptions small_options;
+  small_options.num_qubits = 5;
+  const circuit::GoldenAnsatz small = circuit::make_golden_ansatz(small_options, rng);
+  circuit::MultiCutAnsatzOptions wide_options;
+  wide_options.num_cuts = 2;
+  wide_options.block_width = 7;
+  const circuit::MultiCutAnsatz wide_ansatz =
+      circuit::make_multi_cut_golden_ansatz(wide_options, rng);
   std::vector<std::vector<WirePoint>> wide_boundaries;
   const Circuit wide = brick_chain(14, wide_boundaries);
-  const std::array<std::pair<Circuit, std::vector<std::vector<WirePoint>>>, 2> cases = {
+  const std::array<std::pair<Circuit, std::vector<std::vector<WirePoint>>>, 4> cases = {
+      std::pair{small.circuit, std::vector<std::vector<WirePoint>>{{small.cut}}},
+      std::pair{wide_ansatz.circuit, std::vector<std::vector<WirePoint>>{wide_ansatz.cuts}},
       std::pair{chain5(), chain5_boundaries()}, std::pair{wide, wide_boundaries}};
-  const std::array<bool, 2> above_threshold = {false, true};
+  const std::array<bool, 4> above_threshold = {false, true, false, true};
 
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const auto& [c, boundaries] = cases[i];
@@ -249,108 +223,6 @@ TEST(ChainCutting, InlineAndPooledReconstructionAgreeAcrossTheWorkThreshold) {
       EXPECT_EQ(reconstruct_distribution(graph, data, spec).raw_probabilities,
                 reference.raw_probabilities)
           << "case " << i;
-    }
-  }
-}
-
-/// The N=2 chain must reproduce the historical Bipartition pipeline bit for
-/// bit at equal seeds: same variant circuits, same seed streams, same shot
-/// plan, same contraction arithmetic.
-TEST(ChainCutting, TwoFragmentChainIsBitForBitEqualToBipartitionPath) {
-  Rng rng(17);
-  circuit::GoldenAnsatzOptions options;
-  options.num_qubits = 5;
-  const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
-  const std::array<WirePoint, 1> cuts = {ansatz.cut};
-
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
-
-  NeglectSpec golden(1);
-  golden.neglect(0, ansatz.golden_basis);
-
-  struct Case {
-    const char* name;
-    NeglectSpec spec;
-    ExecutionOptions exec;
-  };
-  std::vector<Case> cases;
-  {
-    Case sampled{"sampled", NeglectSpec::none(1), {}};
-    sampled.exec.shots_per_variant = 1500;
-    cases.push_back(sampled);
-
-    Case budget{"budget", NeglectSpec::none(1), {}};
-    budget.exec.shots_per_variant = 0;
-    budget.exec.total_shot_budget = 5000;
-    cases.push_back(budget);
-
-    Case golden_case{"golden", golden, {}};
-    golden_case.exec.shots_per_variant = 1500;
-    golden_case.exec.seed_stream_base = 1u << 24;
-    cases.push_back(golden_case);
-
-    Case exact{"exact", NeglectSpec::none(1), {}};
-    exact.exec.exact = true;
-    cases.push_back(exact);
-  }
-
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-
-    backend::StatevectorBackend direct_backend(9);
-    const FragmentData direct = execute_fragments(bp, c.spec, direct_backend, c.exec);
-    const ReconstructionResult expected = reconstruct_distribution(bp, direct, c.spec);
-
-    backend::StatevectorBackend chain_backend(9);
-    const ChainNeglectSpec chain_spec{{c.spec}};
-    const ChainFragmentData data = execute_chain(graph, chain_spec, chain_backend, c.exec);
-    const ReconstructionResult actual = reconstruct_distribution(graph, data, chain_spec);
-
-    EXPECT_EQ(actual.raw_probabilities, expected.raw_probabilities);
-    EXPECT_EQ(actual.terms, expected.terms);
-    EXPECT_EQ(data.total_jobs, direct.total_jobs);
-    EXPECT_EQ(data.total_shots, direct.total_shots);
-    EXPECT_EQ(data.shots_per_variant, direct.shots_per_variant);
-
-    // The per-variant distributions themselves coincide: same circuits and
-    // the historical seed-stream layout.
-    for (const auto& [setting, dist] : direct.upstream) {
-      EXPECT_EQ(data.distribution(0, FragmentVariantKey{0, setting}), dist);
-    }
-    for (const auto& [prep, dist] : direct.downstream) {
-      EXPECT_EQ(data.distribution(1, FragmentVariantKey{prep, 0}), dist);
-    }
-  }
-}
-
-TEST(ChainCutting, VariantCircuitsMatchLegacyVariants) {
-  Rng rng(23);
-  circuit::GoldenAnsatzOptions options;
-  options.num_qubits = 5;
-  const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
-  const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
-
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    const Circuit legacy = make_upstream_variant(bp, s).circuit;
-    const Circuit chain = make_fragment_variant(graph, 0, FragmentVariantKey{0, s}).circuit;
-    ASSERT_EQ(chain.num_ops(), legacy.num_ops());
-    for (std::size_t i = 0; i < legacy.num_ops(); ++i) {
-      EXPECT_EQ(chain.op(i).kind, legacy.op(i).kind);
-      EXPECT_EQ(chain.op(i).qubits, legacy.op(i).qubits);
-      EXPECT_EQ(chain.op(i).params, legacy.op(i).params);
-    }
-  }
-  for (std::uint32_t p = 0; p < 6; ++p) {
-    const Circuit legacy = make_downstream_variant(bp, p).circuit;
-    const Circuit chain = make_fragment_variant(graph, 1, FragmentVariantKey{p, 0}).circuit;
-    ASSERT_EQ(chain.num_ops(), legacy.num_ops());
-    for (std::size_t i = 0; i < legacy.num_ops(); ++i) {
-      EXPECT_EQ(chain.op(i).kind, legacy.op(i).kind);
-      EXPECT_EQ(chain.op(i).qubits, legacy.op(i).qubits);
-      EXPECT_EQ(chain.op(i).params, legacy.op(i).params);
     }
   }
 }
@@ -389,10 +261,11 @@ struct PinnedRun {
 /// Executes and reconstructs one two-fragment cut.
 PinnedRun run_two_fragment(const Circuit& c, std::span<const WirePoint> cuts,
                            const NeglectSpec& spec, const ExecutionOptions& exec) {
-  const Bipartition bp = make_bipartition(c, cuts);
+  const FragmentGraph graph = make_fragment_graph(c, cuts);
+  const ChainNeglectSpec chain_spec{{spec}};
   backend::StatevectorBackend backend(9);
-  const FragmentData data = execute_fragments(bp, spec, backend, exec);
-  const ReconstructionResult result = reconstruct_distribution(bp, data, spec);
+  const ChainFragmentData data = execute_chain(graph, chain_spec, backend, exec);
+  const ReconstructionResult result = reconstruct_distribution(graph, data, chain_spec);
   return PinnedRun{fnv1a(result.raw_probabilities), result.terms, data.total_jobs,
                    data.total_shots};
 }
@@ -403,16 +276,17 @@ std::pair<ExpectationUncertainty, DistributionUncertainty> bootstrap_two_fragmen
     const Circuit& c, std::span<const WirePoint> cuts, const NeglectSpec& spec,
     const ExecutionOptions& exec, const DiagonalObservable& observable,
     const BootstrapOptions& options) {
-  const Bipartition bp = make_bipartition(c, cuts);
+  const FragmentGraph graph = make_fragment_graph(c, cuts);
+  const ChainNeglectSpec chain_spec{{spec}};
   backend::StatevectorBackend backend(9);
-  const FragmentData data = execute_fragments(bp, spec, backend, exec);
-  return {bootstrap_expectation(bp, data, spec, observable, options),
-          bootstrap_distribution(bp, data, spec, options)};
+  const ChainFragmentData data = execute_chain(graph, chain_spec, backend, exec);
+  return {bootstrap_expectation(graph, data, chain_spec, observable, options),
+          bootstrap_distribution(graph, data, chain_spec, options)};
 }
 
-/// Two-fragment results pinned to the values the historical Bipartition
-/// pipeline produced: raw distributions (by hash), term counts, job and
-/// shot totals, and bootstrap replicas at a fixed seed. Any change to the
+/// Two-fragment results pinned to the values the former dedicated
+/// two-fragment pipeline produced: raw distributions (by hash), term counts,
+/// job and shot totals, and bootstrap replicas at a fixed seed. Any change to the
 /// variant circuits, seed streams, shot plan, contraction arithmetic or
 /// bootstrap RNG order moves at least one pin.
 TEST(ChainCutting, TwoFragmentResultsArePinned) {

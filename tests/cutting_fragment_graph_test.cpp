@@ -1,5 +1,5 @@
-// FragmentGraph construction: chain splitting, the N=2 equivalence with
-// make_bipartition, and rejection of non-chain topologies.
+// FragmentGraph construction: chain splitting, the two-fragment split of
+// Section II-B (make_fragment_graph), and rejection of non-chain topologies.
 
 #include "cutting/fragment_graph.hpp"
 
@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -82,32 +83,6 @@ TEST(FragmentGraph, ThreeFragmentChainStructure) {
   EXPECT_EQ(f2.circuit.num_ops(), 3u);
 }
 
-TEST(FragmentGraph, TwoFragmentGraphMatchesBipartition) {
-  Circuit c(4);
-  c.cx(0, 1).ry(0.2, 1).cx(1, 2).cx(2, 3);
-  const std::array<WirePoint, 1> cuts = {WirePoint{1, 1}};
-
-  const FragmentGraph graph = make_fragment_graph(c, cuts);
-  const Bipartition bp = make_bipartition(c, cuts);
-
-  ASSERT_EQ(graph.num_fragments(), 2);
-  EXPECT_EQ(graph.fragments[0].to_original, bp.f1_to_original);
-  EXPECT_EQ(graph.fragments[1].to_original, bp.f2_to_original);
-  EXPECT_EQ(graph.fragments[0].output_qubits, bp.f1_output_qubits);
-  EXPECT_EQ(graph.fragments[0].out_cut_qubits, bp.f1_cut_qubits());
-  EXPECT_EQ(graph.fragments[1].in_qubits, bp.f2_cut_qubits());
-  EXPECT_EQ(graph.fragments[0].circuit.num_ops(), bp.f1.num_ops());
-  EXPECT_EQ(graph.fragments[1].circuit.num_ops(), bp.f2.num_ops());
-
-  const Bipartition round_trip = to_bipartition(graph);
-  EXPECT_EQ(round_trip.f1_to_original, bp.f1_to_original);
-  EXPECT_EQ(round_trip.f2_to_original, bp.f2_to_original);
-  EXPECT_EQ(round_trip.cuts.size(), bp.cuts.size());
-  EXPECT_EQ(round_trip.cuts[0].original_qubit, bp.cuts[0].original_qubit);
-  EXPECT_EQ(round_trip.cuts[0].f1_qubit, bp.cuts[0].f1_qubit);
-  EXPECT_EQ(round_trip.cuts[0].f2_qubit, bp.cuts[0].f2_qubit);
-}
-
 TEST(FragmentGraph, FragmentSkippingWireIsRejected) {
   // q0 runs from fragment 0 straight into fragment 2 with no ops in
   // fragment 1: not expressible as a chain.
@@ -129,9 +104,10 @@ TEST(FragmentGraph, OutOfOrderBoundariesAreRejected) {
   EXPECT_THROW((void)make_fragment_chain(c, boundaries), Error);
 }
 
-TEST(FragmentGraph, ToBipartitionRequiresTwoFragments) {
+TEST(FragmentGraph, SingleBoundaryDetectorsRequireTwoFragments) {
   const FragmentGraph graph = make_fragment_chain(chain5(), chain5_boundaries());
-  EXPECT_THROW((void)to_bipartition(graph), Error);
+  EXPECT_THROW((void)detect_golden_exact(graph), Error);
+  EXPECT_THROW((void)detect_golden_from_counts(graph, {}, 100), Error);
 }
 
 TEST(FragmentGraph, ChainNeglectSpecCountsTerms) {
@@ -143,6 +119,122 @@ TEST(FragmentGraph, ChainNeglectSpecCountsTerms) {
   EXPECT_EQ(spec.num_active_terms(), 12u);  // 3 x 4
   spec.boundary(1).neglect(0, Pauli::Y);
   EXPECT_EQ(spec.num_active_terms(), 9u);   // 3 x 3
+}
+
+/// The paper's 3-qubit example: U12 on (0,1), cut wire 1, U23 on (1,2).
+Circuit chain3() {
+  Circuit c(3);
+  c.cx(0, 1);    // op 0 upstream
+  c.ry(0.4, 1);  // op 1 upstream
+  c.cx(1, 2);    // op 2 downstream
+  c.h(2);        // op 3 downstream
+  return c;
+}
+
+TEST(TwoFragmentGraph, ThreeQubitChain) {
+  const std::array<WirePoint, 1> cuts = {WirePoint{1, 1}};
+  const FragmentGraph graph = make_fragment_graph(chain3(), cuts);
+  ASSERT_EQ(graph.num_fragments(), 2);
+  const ChainFragment& f1 = graph.fragments[0];
+  const ChainFragment& f2 = graph.fragments[1];
+
+  EXPECT_EQ(graph.num_original_qubits, 3);
+  EXPECT_EQ(graph.total_cuts(), 1);
+  EXPECT_EQ(f1.width(), 2);
+  EXPECT_EQ(f2.width(), 2);
+  EXPECT_EQ(f1.to_original, (std::vector<int>{0, 1}));
+  EXPECT_EQ(f2.to_original, (std::vector<int>{1, 2}));
+
+  ASSERT_EQ(graph.boundaries[0].wires.size(), 1u);
+  EXPECT_EQ(graph.boundaries[0].wires[0].original_qubit, 1);
+  EXPECT_EQ(graph.boundaries[0].wires[0].up_qubit, 1);
+  EXPECT_EQ(graph.boundaries[0].wires[0].down_qubit, 0);
+
+  EXPECT_EQ(f1.output_qubits, (std::vector<int>{0}));
+  EXPECT_EQ(f1.output_width(), 1);
+  EXPECT_EQ(f1.out_cut_qubits, (std::vector<int>{1}));
+  EXPECT_EQ(f2.in_qubits, (std::vector<int>{0}));
+
+  // Fragment circuits carry the right ops.
+  EXPECT_EQ(f1.circuit.num_ops(), 2u);
+  EXPECT_EQ(f1.circuit.op(0).kind, circuit::GateKind::CX);
+  EXPECT_EQ(f1.circuit.op(0).qubits, (std::vector<int>{0, 1}));
+  EXPECT_EQ(f2.circuit.num_ops(), 2u);
+  EXPECT_EQ(f2.circuit.op(0).kind, circuit::GateKind::CX);
+  EXPECT_EQ(f2.circuit.op(0).qubits, (std::vector<int>{0, 1}));  // remapped 1->0, 2->1
+}
+
+TEST(TwoFragmentGraph, FiveQubitMiddleCut) {
+  // 5-qubit circuit cut on the middle wire: 3 + 3 fragments like the paper.
+  Circuit c(5);
+  c.h(0).cx(0, 1).cx(1, 2).ry(0.3, 2);  // upstream {0,1,2}
+  c.cx(2, 3).cx(3, 4).rz(0.7, 4);       // downstream {2,3,4}
+  const std::array<WirePoint, 1> cuts = {WirePoint{2, 3}};
+  const FragmentGraph graph = make_fragment_graph(c, cuts);
+  EXPECT_EQ(graph.fragments[0].width(), 3);
+  EXPECT_EQ(graph.fragments[1].width(), 3);
+  EXPECT_EQ(graph.fragments[0].to_original, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(graph.fragments[1].to_original, (std::vector<int>{2, 3, 4}));
+  EXPECT_EQ(graph.fragments[0].output_qubits, (std::vector<int>{0, 1}));
+}
+
+TEST(TwoFragmentGraph, IdleQubitGoesUpstream) {
+  Circuit c(4);
+  c.cx(0, 1).ry(0.2, 1).cx(1, 2);  // qubit 3 idle
+  const std::array<WirePoint, 1> cuts = {WirePoint{1, 1}};
+  const FragmentGraph graph = make_fragment_graph(c, cuts);
+  EXPECT_EQ(graph.fragments[0].to_original, (std::vector<int>{0, 1, 3}));
+  EXPECT_EQ(graph.fragments[1].to_original, (std::vector<int>{1, 2}));
+  // Idle qubit 3 is an f1 output.
+  EXPECT_EQ(graph.fragments[0].output_qubits, (std::vector<int>{0, 2}));
+}
+
+TEST(TwoFragmentGraph, TwoCutsSharedDownstream) {
+  Circuit c(4);
+  c.h(0).cx(0, 1);  // block A
+  c.h(3).cx(3, 2);  // block B
+  c.cx(1, 2);       // downstream
+  const std::array<WirePoint, 2> cuts = {WirePoint{1, 1}, WirePoint{2, 3}};
+  const FragmentGraph graph = make_fragment_graph(c, cuts);
+  EXPECT_EQ(graph.total_cuts(), 2);
+  EXPECT_EQ(graph.fragments[0].to_original, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(graph.fragments[1].to_original, (std::vector<int>{1, 2}));
+  EXPECT_EQ(graph.fragments[0].output_qubits, (std::vector<int>{0, 3}));
+  EXPECT_EQ(graph.fragments[0].out_cut_qubits, (std::vector<int>{1, 2}));
+  EXPECT_EQ(graph.fragments[1].in_qubits, (std::vector<int>{0, 1}));
+}
+
+TEST(TwoFragmentGraph, CutOrderIsPreserved) {
+  Circuit c(4);
+  c.h(0).cx(0, 1);
+  c.h(3).cx(3, 2);
+  c.cx(1, 2);
+  // Same cuts, reversed order: the wires must follow the caller's order.
+  const std::array<WirePoint, 2> cuts = {WirePoint{2, 3}, WirePoint{1, 1}};
+  const FragmentGraph graph = make_fragment_graph(c, cuts);
+  EXPECT_EQ(graph.boundaries[0].wires[0].original_qubit, 2);
+  EXPECT_EQ(graph.boundaries[0].wires[1].original_qubit, 1);
+}
+
+TEST(TwoFragmentGraph, InvalidCutsThrow) {
+  const Circuit c = chain3();
+  // Cut after final op on the wire.
+  EXPECT_THROW((void)make_fragment_graph(c, std::array<WirePoint, 1>{WirePoint{2, 3}}), Error);
+  // Op not acting on the qubit.
+  EXPECT_THROW((void)make_fragment_graph(c, std::array<WirePoint, 1>{WirePoint{0, 2}}), Error);
+  // Empty cut list.
+  EXPECT_THROW((void)make_fragment_graph(c, std::span<const WirePoint>{}), Error);
+}
+
+TEST(TwoFragmentGraph, CustomGatesSurviveFragmentation) {
+  Circuit c(3);
+  c.append_custom(linalg::CMat::identity(4), {0, 1}, "U1");
+  c.ry(0.5, 1);
+  c.append_custom(linalg::CMat::identity(4), {1, 2}, "U2");
+  const std::array<WirePoint, 1> cuts = {WirePoint{1, 1}};
+  const FragmentGraph graph = make_fragment_graph(c, cuts);
+  EXPECT_EQ(graph.fragments[0].circuit.op(0).label, "U1");
+  EXPECT_EQ(graph.fragments[1].circuit.op(0).label, "U2");
 }
 
 }  // namespace

@@ -22,13 +22,14 @@ namespace {
 /// StateVector simulation of the upstream fragment, one dense conditional
 /// matrix per output bitstring, and one kron'd operator per (cut, Pauli,
 /// context), contracted with linalg::trace_of_product.
-GoldenDetectionReport reference_detect_golden_exact(const Bipartition& bp, double tol) {
-  const int num_cuts = bp.num_cuts();
-  const std::vector<int> cut_qubits = bp.f1_cut_qubits();
-  const std::vector<int>& out_qubits = bp.f1_output_qubits;
+GoldenDetectionReport reference_detect_golden_exact(const FragmentGraph& graph, double tol) {
+  const ChainFragment& f1 = graph.fragments[0];
+  const int num_cuts = f1.num_out();
+  const std::vector<int>& cut_qubits = f1.out_cut_qubits;
+  const std::vector<int>& out_qubits = f1.output_qubits;
 
-  sim::StateVector psi(bp.f1_width());
-  psi.apply_circuit(bp.f1);
+  sim::StateVector psi(f1.width());
+  psi.apply_circuit(f1.circuit);
   const linalg::CVec& amps = psi.amplitudes();
 
   const index_t out_dim = pow2(static_cast<int>(out_qubits.size()));
@@ -213,9 +214,9 @@ TEST(DetectExact, GoldenYAnsatzIsDetected) {
     options.num_qubits = 5;
     const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
     const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-    const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+    const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
 
-    const GoldenDetectionReport report = detect_golden_exact(bp, 1e-9);
+    const GoldenDetectionReport report = detect_golden_exact(graph, 1e-9);
     EXPECT_TRUE(report.golden[0][static_cast<std::size_t>(Pauli::Y)]) << "seed " << seed;
     EXPECT_NEAR(report.violation[0][static_cast<std::size_t>(Pauli::Y)], 0.0, 1e-9);
     // X and Z are generically non-negligible for this ansatz.
@@ -236,8 +237,8 @@ TEST(DetectExact, GoldenXAnsatzIsDetected) {
   options.golden_basis = Pauli::X;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
-  const GoldenDetectionReport report = detect_golden_exact(bp, 1e-9);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const GoldenDetectionReport report = detect_golden_exact(graph, 1e-9);
   EXPECT_TRUE(report.golden[0][static_cast<std::size_t>(Pauli::X)]);
 }
 
@@ -251,8 +252,8 @@ TEST(DetectExact, GenericCircuitHasNoGoldenBasis) {
   c.h(0).t(0).cx(0, 1).h(1).t(1).rx(0.5, 1).ry(0.3, 1).rz(0.7, 1);  // ops 0..7
   c.cx(1, 2).h(2);
   const std::array<circuit::WirePoint, 1> cuts = {circuit::WirePoint{1, 7}};
-  const Bipartition bp = make_bipartition(c, cuts);
-  const GoldenDetectionReport report = detect_golden_exact(bp, 1e-9);
+  const FragmentGraph graph = make_fragment_graph(c, cuts);
+  const GoldenDetectionReport report = detect_golden_exact(graph, 1e-9);
   EXPECT_FALSE(report.golden[0][static_cast<std::size_t>(Pauli::X)]);
   EXPECT_FALSE(report.golden[0][static_cast<std::size_t>(Pauli::Y)]);
   EXPECT_FALSE(report.golden[0][static_cast<std::size_t>(Pauli::Z)]);
@@ -268,8 +269,8 @@ TEST(DetectExact, BellStateUpstreamIsGoldenY) {
   c.h(0).cx(0, 1);   // Bell pair on {0,1}
   c.cx(1, 2).h(2);   // downstream
   const std::array<circuit::WirePoint, 1> cuts = {circuit::WirePoint{1, 1}};
-  const Bipartition bp = make_bipartition(c, cuts);
-  const GoldenDetectionReport report = detect_golden_exact(bp, 1e-9);
+  const FragmentGraph graph = make_fragment_graph(c, cuts);
+  const GoldenDetectionReport report = detect_golden_exact(graph, 1e-9);
   EXPECT_TRUE(report.golden[0][static_cast<std::size_t>(Pauli::Y)]);
 }
 
@@ -280,8 +281,8 @@ TEST(DetectExact, TwoCutDisjointRealBlocksGoldenAtBothCuts) {
   c.cx(1, 2).rx(0.4, 1);
   const std::array<circuit::WirePoint, 2> cuts = {circuit::WirePoint{1, 2},
                                                   circuit::WirePoint{2, 5}};
-  const Bipartition bp = make_bipartition(c, cuts);
-  const GoldenDetectionReport report = detect_golden_exact(bp, 1e-9);
+  const FragmentGraph graph = make_fragment_graph(c, cuts);
+  const GoldenDetectionReport report = detect_golden_exact(graph, 1e-9);
   EXPECT_TRUE(report.golden[0][static_cast<std::size_t>(Pauli::Y)]);
   EXPECT_TRUE(report.golden[1][static_cast<std::size_t>(Pauli::Y)]);
 }
@@ -298,8 +299,8 @@ TEST(DetectExact, EntangledRealBlocksAreNotPerCutGolden) {
   c.cx(1, 2).rx(0.4, 1);  // downstream
   const std::array<circuit::WirePoint, 2> cuts = {circuit::WirePoint{1, 3},
                                                   circuit::WirePoint{2, 4}};
-  const Bipartition bp = make_bipartition(c, cuts);
-  const GoldenDetectionReport report = detect_golden_exact(bp, 1e-9);
+  const FragmentGraph graph = make_fragment_graph(c, cuts);
+  const GoldenDetectionReport report = detect_golden_exact(graph, 1e-9);
   EXPECT_FALSE(report.golden[0][static_cast<std::size_t>(Pauli::Y)]);
   EXPECT_FALSE(report.golden[1][static_cast<std::size_t>(Pauli::Y)]);
 
@@ -313,7 +314,7 @@ TEST(DetectExact, EntangledRealBlocksAreNotPerCutGolden) {
 /// bit for bit (==, not within a tolerance) on golden and generic upstream
 /// fragments with 1 to 3 and 5 cuts.
 TEST(DetectExact, MatchesReferenceImplementationBitForBit) {
-  std::vector<Bipartition> cases;
+  std::vector<FragmentGraph> cases;
   for (int n : {5, 7, 9}) {
     for (const Pauli basis : {Pauli::Y, Pauli::X}) {
       Rng rng(static_cast<std::uint64_t>(n) * 10 + static_cast<std::uint64_t>(basis));
@@ -323,7 +324,7 @@ TEST(DetectExact, MatchesReferenceImplementationBitForBit) {
       options.golden_basis = basis;
       const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
       const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-      cases.push_back(make_bipartition(ansatz.circuit, cuts));
+      cases.push_back(make_fragment_graph(ansatz.circuit, cuts));
     }
   }
   for (int num_cuts : {2, 3}) {
@@ -331,7 +332,7 @@ TEST(DetectExact, MatchesReferenceImplementationBitForBit) {
     circuit::MultiCutAnsatzOptions options;
     options.num_cuts = num_cuts;
     const circuit::MultiCutAnsatz ansatz = circuit::make_multi_cut_golden_ansatz(options, rng);
-    cases.push_back(make_bipartition(ansatz.circuit, ansatz.cuts));
+    cases.push_back(make_fragment_graph(ansatz.circuit, ansatz.cuts));
   }
   // Generic (General gate set) upstream blocks of 4..6 qubits, cut on the
   // last upstream wire after its last upstream gate.
@@ -349,7 +350,7 @@ TEST(DetectExact, MatchesReferenceImplementationBitForBit) {
     }
     c.cx(up - 1, up).h(up + 1).cx(up, up + 1);
     const std::array<circuit::WirePoint, 1> cuts = {circuit::WirePoint{up - 1, last}};
-    cases.push_back(make_bipartition(c, cuts));
+    cases.push_back(make_fragment_graph(c, cuts));
   }
   // Five cuts (1296 contexts per cut and Pauli) on a generic 6-qubit
   // upstream block: wires 0..4 are cut after their last upstream gate and
@@ -369,15 +370,15 @@ TEST(DetectExact, MatchesReferenceImplementationBitForBit) {
       cuts.push_back(circuit::WirePoint{q, last});
     }
     c.cx(0, 6).cx(1, 6).cx(2, 7).cx(3, 7).cx(4, 7).cx(6, 7);
-    cases.push_back(make_bipartition(c, cuts));
-    ASSERT_EQ(cases.back().num_cuts(), 5);
-    ASSERT_EQ(cases.back().f1_width(), 6);
+    cases.push_back(make_fragment_graph(c, cuts));
+    ASSERT_EQ(cases.back().total_cuts(), 5);
+    ASSERT_EQ(cases.back().fragments[0].width(), 6);
   }
-  for (const Bipartition& bp : cases) {
-    SCOPED_TRACE("f1 width " + std::to_string(bp.f1_width()) + ", cuts " +
-                 std::to_string(bp.num_cuts()));
-    expect_reports_identical(reference_detect_golden_exact(bp, 1e-9),
-                             detect_golden_exact(bp, 1e-9));
+  for (const FragmentGraph& graph : cases) {
+    SCOPED_TRACE("f1 width " + std::to_string(graph.fragments[0].width()) + ", cuts " +
+                 std::to_string(graph.total_cuts()));
+    expect_reports_identical(reference_detect_golden_exact(graph, 1e-9),
+                             detect_golden_exact(graph, 1e-9));
   }
 }
 

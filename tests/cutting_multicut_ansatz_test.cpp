@@ -35,11 +35,11 @@ TEST_P(MultiCutSweep, PerCutGoldenYHoldsAndReconstructsExactly) {
   const circuit::MultiCutAnsatz ansatz = circuit::make_multi_cut_golden_ansatz(options, rng);
 
   ASSERT_EQ(ansatz.cuts.size(), static_cast<std::size_t>(param.num_cuts));
-  const Bipartition bp = make_bipartition(ansatz.circuit, ansatz.cuts);
-  EXPECT_EQ(bp.num_cuts(), param.num_cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, ansatz.cuts);
+  EXPECT_EQ(graph.total_cuts(), param.num_cuts);
 
   // Exact detection: Y golden at every cut.
-  const GoldenDetectionReport report = detect_golden_exact(bp, 1e-9);
+  const GoldenDetectionReport report = detect_golden_exact(graph, 1e-9);
   NeglectSpec spec(param.num_cuts);
   for (int k = 0; k < param.num_cuts; ++k) {
     ASSERT_TRUE(report.golden[static_cast<std::size_t>(k)]
@@ -88,7 +88,7 @@ TEST(MultiCutAnsatz, ExecutionCountsMatchFormula) {
   circuit::MultiCutAnsatzOptions options;
   options.num_cuts = 2;
   const circuit::MultiCutAnsatz ansatz = circuit::make_multi_cut_golden_ansatz(options, rng);
-  const Bipartition bp = make_bipartition(ansatz.circuit, ansatz.cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, ansatz.cuts);
 
   NeglectSpec spec(2);
   spec.neglect(0, Pauli::Y).neglect(1, Pauli::Y);
@@ -96,7 +96,7 @@ TEST(MultiCutAnsatz, ExecutionCountsMatchFormula) {
   backend::StatevectorBackend backend(2);
   ExecutionOptions exec;
   exec.exact = true;
-  const FragmentData data = execute_fragments(bp, spec, backend, exec);
+  const ChainFragmentData data = execute_chain(graph, ChainNeglectSpec{{spec}}, backend, exec);
   // Upstream 2^2 settings, downstream 4^2 preps.
   EXPECT_EQ(data.total_jobs, 4u + 16u);
 }

@@ -74,12 +74,13 @@ TEST(EstimateExpectation, MatchesStatevector) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const ChainNeglectSpec spec = ChainNeglectSpec::none(graph);
 
   backend::StatevectorBackend backend(3);
   ExecutionOptions exec;
   exec.exact = true;
-  const FragmentData data = execute_fragments(bp, NeglectSpec::none(1), backend, exec);
+  const ChainFragmentData data = execute_chain(graph, spec, backend, exec);
 
   sim::StateVector sv(5);
   sv.apply_circuit(ansatz.circuit);
@@ -87,7 +88,7 @@ TEST(EstimateExpectation, MatchesStatevector) {
   for (const std::string label : {"ZIIII", "IIIIZ", "ZZZZZ", "IZIZI"}) {
     const circuit::PauliString pauli = circuit::PauliString::parse(label);
     const DiagonalObservable obs = DiagonalObservable::from_pauli(pauli);
-    EXPECT_NEAR(estimate_expectation(bp, data, NeglectSpec::none(1), obs),
+    EXPECT_NEAR(reconstruct_diagonal_expectation(graph, data, spec, obs.diagonal()),
                 sv.expectation_pauli(pauli), 1e-9)
         << label;
   }
@@ -108,10 +109,10 @@ TEST(ObservableGolden, WeakerObservableAdmitsMoreGoldenBases) {
   const std::size_t cut_after = c.num_ops() - 1;  // after the rx on wire 1
   c.cx(1, 2);                      // downstream
   const std::array<circuit::WirePoint, 1> cuts = {circuit::WirePoint{1, cut_after}};
-  const Bipartition bp = make_bipartition(c, cuts);
+  const FragmentGraph graph = make_fragment_graph(c, cuts);
 
   // Distribution-level: X/Y/Z all non-golden for this generic cut state.
-  const GoldenDetectionReport distribution_report = detect_golden_exact(bp, 1e-9);
+  const GoldenDetectionReport distribution_report = detect_golden_exact(graph, 1e-9);
   int distribution_golden = 0;
   for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
     if (distribution_report.golden[0][static_cast<std::size_t>(p)]) ++distribution_golden;
@@ -124,7 +125,8 @@ TEST(ObservableGolden, WeakerObservableAdmitsMoreGoldenBases) {
   circuit::PauliString z0(3);
   z0.set_label(0, Pauli::Z);
   const DiagonalObservable obs = DiagonalObservable::from_pauli(z0);
-  const GoldenDetectionReport observable_report = detect_golden_for_observable(bp, obs, 1e-9);
+  const GoldenDetectionReport observable_report =
+      detect_golden_for_observable(graph, obs, 1e-9);
   for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
     EXPECT_TRUE(observable_report.golden[0][static_cast<std::size_t>(p)])
         << linalg::pauli_name(p);
@@ -135,10 +137,12 @@ TEST(ObservableGolden, WeakerObservableAdmitsMoreGoldenBases) {
   ExecutionOptions exec;
   exec.exact = true;
   const NeglectSpec spec = observable_report.to_spec();
-  const FragmentData data = execute_fragments(bp, spec, backend, exec);
+  const ChainNeglectSpec chain_spec{{spec}};
+  const ChainFragmentData data = execute_chain(graph, chain_spec, backend, exec);
   sim::StateVector sv(3);
   sv.apply_circuit(c);
-  EXPECT_NEAR(estimate_expectation(bp, data, spec, obs), sv.expectation_pauli(z0), 1e-9);
+  EXPECT_NEAR(reconstruct_diagonal_expectation(graph, data, chain_spec, obs.diagonal()),
+              sv.expectation_pauli(z0), 1e-9);
   // Only the I basis string survives: a single term.
   EXPECT_EQ(spec.num_active_strings(), 1u);
 }
@@ -149,12 +153,12 @@ TEST(ObservableGolden, AgreesWithDistributionDetectorOnGoldenAnsatz) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
 
   // Any Z-type observable keeps the designed golden-Y property (it is a
   // real diagonal observable; the real-state argument applies).
   const DiagonalObservable obs = DiagonalObservable::parity(5);
-  const GoldenDetectionReport report = detect_golden_for_observable(bp, obs, 1e-9);
+  const GoldenDetectionReport report = detect_golden_for_observable(graph, obs, 1e-9);
   EXPECT_TRUE(report.golden[0][static_cast<std::size_t>(Pauli::Y)]);
 }
 
@@ -164,7 +168,7 @@ TEST(ObservableGolden, RejectsNonFactorizingObservable) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
 
   // A diagonal coupling across the bipartition: value = parity of (q0, q3),
   // where q0 is upstream and q3 downstream - it DOES factorize (product of
@@ -176,7 +180,7 @@ TEST(ObservableGolden, RejectsNonFactorizingObservable) {
     diag[x] = (bit(x, 0) != 0 || bit(x, 3) != 0) ? 1.0 : 0.0;
   }
   const DiagonalObservable obs{std::move(diag)};
-  EXPECT_THROW((void)detect_golden_for_observable(bp, obs, 1e-9), Error);
+  EXPECT_THROW((void)detect_golden_for_observable(graph, obs, 1e-9), Error);
 }
 
 TEST(ObservableGolden, ProjectorObservableFactorizes) {
@@ -185,11 +189,11 @@ TEST(ObservableGolden, ProjectorObservableFactorizes) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
 
   // Projectors factorize across any bipartition (Eq. 16 of the paper).
   const DiagonalObservable proj = DiagonalObservable::projector(5, 0b10110);
-  EXPECT_NO_THROW((void)detect_golden_for_observable(bp, proj, 1e-9));
+  EXPECT_NO_THROW((void)detect_golden_for_observable(graph, proj, 1e-9));
 }
 
 }  // namespace

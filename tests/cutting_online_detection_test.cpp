@@ -17,22 +17,30 @@ namespace {
 using circuit::WirePoint;
 
 struct UpstreamSetup {
-  Bipartition bp;
+  FragmentGraph graph;
   std::vector<std::vector<double>> upstream;  // all 3^K settings, exact or sampled
 };
+
+/// All 3 upstream setting distributions of a single-cut graph, sampled.
+std::vector<std::vector<double>> sample_upstream(const FragmentGraph& graph, std::size_t shots,
+                                                 backend::Backend& backend) {
+  cutting::ExecutionOptions exec;
+  exec.shots_per_variant = shots;
+  const ChainFragmentData data =
+      execute_chain(graph, ChainNeglectSpec::none(graph), backend, exec);
+  std::vector<std::vector<double>> upstream;
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    upstream.push_back(data.distribution(0, FragmentVariantKey{0, s}));
+  }
+  return upstream;
+}
 
 UpstreamSetup sampled_upstream(const circuit::GoldenAnsatz& ansatz, std::size_t shots,
                        std::uint64_t seed) {
   const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  UpstreamSetup setup{make_bipartition(ansatz.circuit, cuts), {}};
+  UpstreamSetup setup{make_fragment_graph(ansatz.circuit, cuts), {}};
   backend::StatevectorBackend backend(seed);
-  cutting::ExecutionOptions exec;
-  exec.shots_per_variant = shots;
-  const FragmentData data =
-      execute_upstream_only(setup.bp, NeglectSpec::none(1), backend, exec);
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    setup.upstream.push_back(data.upstream_distribution(s));
-  }
+  setup.upstream = sample_upstream(setup.graph, shots, backend);
   return setup;
 }
 
@@ -45,7 +53,7 @@ TEST(OnlineDetection, DetectsDesignedGoldenY) {
     const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
     const UpstreamSetup setup = sampled_upstream(ansatz, 4000, seed);
     const GoldenDetectionReport report =
-        detect_golden_from_counts(setup.bp, setup.upstream, 4000);
+        detect_golden_from_counts(setup.graph, setup.upstream, 4000);
     if (report.golden[0][static_cast<std::size_t>(Pauli::Y)]) ++detected;
   }
   // The test controls false positives at alpha; power at 4000 shots should
@@ -60,16 +68,12 @@ TEST(OnlineDetection, RejectsStronglyNonGoldenBasis) {
   c.h(0).cx(0, 1).cx(1, 2);
   // Upstream: h(0), cx(0,1); cut on wire 1 after op 1.
   const std::array<WirePoint, 1> cuts = {WirePoint{1, 1}};
-  const Bipartition bp = make_bipartition(c, cuts);
+  const FragmentGraph graph = make_fragment_graph(c, cuts);
 
   backend::StatevectorBackend backend(3);
-  cutting::ExecutionOptions exec;
-  exec.shots_per_variant = 4000;
-  const FragmentData data = execute_upstream_only(bp, NeglectSpec::none(1), backend, exec);
-  std::vector<std::vector<double>> upstream;
-  for (std::uint32_t s = 0; s < 3; ++s) upstream.push_back(data.upstream_distribution(s));
+  const std::vector<std::vector<double>> upstream = sample_upstream(graph, 4000, backend);
 
-  const GoldenDetectionReport report = detect_golden_from_counts(bp, upstream, 4000);
+  const GoldenDetectionReport report = detect_golden_from_counts(graph, upstream, 4000);
   EXPECT_FALSE(report.golden[0][static_cast<std::size_t>(Pauli::Z)]);
   // Bell pair upstream: Y (and X) weighted sums cancel.
   EXPECT_TRUE(report.golden[0][static_cast<std::size_t>(Pauli::Y)]);
@@ -89,20 +93,16 @@ TEST(OnlineDetection, FalsePositiveRateIsControlled) {
     }
     c.cx(1, 2);
     const std::array<WirePoint, 1> cuts = {WirePoint{1, cut_after}};
-    const Bipartition bp = make_bipartition(c, cuts);
+    const FragmentGraph graph = make_fragment_graph(c, cuts);
 
     backend::StatevectorBackend backend(seed * 11);
-    cutting::ExecutionOptions exec;
-    exec.shots_per_variant = 4000;
-    const FragmentData data = execute_upstream_only(bp, NeglectSpec::none(1), backend, exec);
-    std::vector<std::vector<double>> upstream;
-    for (std::uint32_t s = 0; s < 3; ++s) upstream.push_back(data.upstream_distribution(s));
+    const std::vector<std::vector<double>> upstream = sample_upstream(graph, 4000, backend);
 
     // The exact violations for this circuit are sizable on all three bases.
-    const GoldenDetectionReport exact = detect_golden_exact(bp, 1e-9);
+    const GoldenDetectionReport exact = detect_golden_exact(graph, 1e-9);
     for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
       if (exact.violation[0][static_cast<std::size_t>(p)] < 0.05) continue;
-      const GoldenDetectionReport online = detect_golden_from_counts(bp, upstream, 4000);
+      const GoldenDetectionReport online = detect_golden_from_counts(graph, upstream, 4000);
       if (online.golden[0][static_cast<std::size_t>(p)]) ++false_positives;
     }
   }
@@ -115,19 +115,19 @@ TEST(OnlineDetection, InputValidation) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
 
   std::vector<std::vector<double>> too_few(2);
-  EXPECT_THROW((void)detect_golden_from_counts(bp, too_few, 100), Error);
+  EXPECT_THROW((void)detect_golden_from_counts(graph, too_few, 100), Error);
 
   std::vector<std::vector<double>> wrong_dim(3, std::vector<double>(4, 0.25));
-  EXPECT_THROW((void)detect_golden_from_counts(bp, wrong_dim, 100), Error);
+  EXPECT_THROW((void)detect_golden_from_counts(graph, wrong_dim, 100), Error);
 
   std::vector<std::vector<double>> ok(3, std::vector<double>(8, 0.125));
-  EXPECT_THROW((void)detect_golden_from_counts(bp, ok, 0), Error);
+  EXPECT_THROW((void)detect_golden_from_counts(graph, ok, 0), Error);
   OnlineDetectionOptions bad;
   bad.alpha = 0.0;
-  EXPECT_THROW((void)detect_golden_from_counts(bp, ok, 100, bad), Error);
+  EXPECT_THROW((void)detect_golden_from_counts(graph, ok, 100, bad), Error);
 }
 
 TEST(OnlineDetection, PipelineModeSavesDownstreamEvaluations) {

@@ -40,15 +40,15 @@ DiagonalObservable zz_observable() {
 TEST(PlannerObservable, ObservableDetectorAdmitsBasesTheExactDetectorRejects) {
   const Circuit circuit = make_circuit();
   const std::array<WirePoint, 1> cuts = {kGoldenCut};
-  const Bipartition bp = make_bipartition(circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(circuit, cuts);
 
-  const GoldenDetectionReport distribution = detect_golden_exact(bp);
+  const GoldenDetectionReport distribution = detect_golden_exact(graph);
   EXPECT_FALSE(distribution.golden[0][static_cast<std::size_t>(Pauli::X)]);
   EXPECT_GT(distribution.violation[0][static_cast<std::size_t>(Pauli::X)], 0.4);
   EXPECT_TRUE(distribution.golden[0][static_cast<std::size_t>(Pauli::Y)]);
   EXPECT_TRUE(distribution.golden[0][static_cast<std::size_t>(Pauli::Z)]);
 
-  const auto observable = try_detect_golden_for_observable(bp, zz_observable());
+  const auto observable = try_detect_golden_for_observable(graph, zz_observable());
   ASSERT_TRUE(observable.has_value());
   EXPECT_TRUE(observable->golden[0][static_cast<std::size_t>(Pauli::X)]);
   EXPECT_TRUE(observable->golden[0][static_cast<std::size_t>(Pauli::Y)]);

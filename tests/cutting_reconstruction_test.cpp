@@ -319,15 +319,13 @@ TEST(Reconstruction, MismatchedFragmentDataIsRejected) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  const auto bp = cutting::make_bipartition(ansatz.circuit, cuts);
+  const auto graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
 
-  cutting::FragmentData bogus;
-  bogus.num_cuts = 2;  // wrong
-  bogus.f1_width = bp.f1_width();
-  bogus.f2_width = bp.f2_width();
-  EXPECT_THROW(
-      (void)cutting::reconstruct_distribution(bp, bogus, cutting::NeglectSpec::none(1)),
-      Error);
+  cutting::ChainFragmentData bogus = cutting::make_chain_data(graph);
+  bogus.fragments[0].width += 1;  // wrong
+  EXPECT_THROW((void)cutting::reconstruct_distribution(
+                   graph, bogus, cutting::ChainNeglectSpec::none(graph)),
+               Error);
 }
 
 TEST(Reconstruction, GoldenSpecMissingDataIsRejected) {
@@ -338,21 +336,21 @@ TEST(Reconstruction, GoldenSpecMissingDataIsRejected) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  const auto bp = cutting::make_bipartition(ansatz.circuit, cuts);
+  const auto graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
 
-  cutting::NeglectSpec golden(1);
-  golden.neglect(0, ansatz.golden_basis);
+  cutting::NeglectSpec golden_spec(1);
+  golden_spec.neglect(0, ansatz.golden_basis);
+  const cutting::ChainNeglectSpec golden{{golden_spec}};
 
   backend::StatevectorBackend backend(6);
   cutting::ExecutionOptions exec;
   exec.exact = true;
-  const auto data = cutting::execute_fragments(bp, golden, backend, exec);
+  const auto data = cutting::execute_chain(graph, golden, backend, exec);
 
-  EXPECT_NO_THROW(
-      (void)cutting::reconstruct_distribution(bp, data, golden));
-  EXPECT_THROW(
-      (void)cutting::reconstruct_distribution(bp, data, cutting::NeglectSpec::none(1)),
-      Error);
+  EXPECT_NO_THROW((void)cutting::reconstruct_distribution(graph, data, golden));
+  EXPECT_THROW((void)cutting::reconstruct_distribution(graph, data,
+                                                       cutting::ChainNeglectSpec::none(graph)),
+               Error);
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 #include "circuit/random.hpp"
 #include "common/error.hpp"
 #include "cutting/pipeline.hpp"
+#include "service/cut_service.hpp"
+#include "sim/statevector.hpp"
 #include "support/run_cut.hpp"
 
 namespace qcut::cutting {
@@ -269,6 +271,55 @@ TEST(CutRequestRun, BootstrapUncertaintyIsAttachedOnRequest) {
   EXPECT_EQ(response.uncertainty->estimate, *response.expectation);
   EXPECT_GT(response.uncertainty->standard_error, 0.0);
   EXPECT_LE(response.uncertainty->ci_lower, response.uncertainty->ci_upper);
+}
+
+/// Bootstrap uncertainty on a 3-fragment chain: 5 qubits, all-real gates,
+/// {0,1} -q1-> {1,2,3} -q3-> {3,4}, per-boundary golden detection.
+TEST(CutRequestRun, ChainBootstrapUncertaintyIsDeterministicAndCoversTruth) {
+  Circuit c(5);
+  c.h(0).cx(0, 1).ry(0.3, 1);
+  c.cx(1, 2).ry(0.5, 2).cx(2, 3).ry(0.4, 3);
+  c.cx(3, 4).ry(0.2, 4);
+  const circuit::PauliString z_ends = circuit::PauliString::parse("ZIIIZ");
+
+  CutRequest request(c);
+  request.with_boundaries({{WirePoint{1, 2}}, {WirePoint{3, 6}}})
+      .with_observable(DiagonalObservable::from_pauli(z_ends))
+      .with_golden(GoldenMode::DetectExact)
+      .with_shots(4000)
+      .with_uncertainty();
+
+  backend::StatevectorBackend run_backend(23);
+  const CutResponse direct = run(request, run_backend);
+  ASSERT_EQ(direct.graph.num_fragments(), 3);
+  ASSERT_TRUE(direct.expectation.has_value());
+  ASSERT_TRUE(direct.uncertainty.has_value());
+  const ExpectationUncertainty& u = *direct.uncertainty;
+  EXPECT_EQ(u.estimate, *direct.expectation);
+  EXPECT_GT(u.standard_error, 0.0);
+
+  sim::StateVector sv(5);
+  sv.apply_circuit(c);
+  const double truth = sv.expectation_pauli(z_ends);
+  EXPECT_LE(u.ci_lower, truth);
+  EXPECT_GE(u.ci_upper, truth);
+
+  const auto expect_identical = [&](const CutResponse& other) {
+    ASSERT_TRUE(other.expectation.has_value());
+    ASSERT_TRUE(other.uncertainty.has_value());
+    EXPECT_EQ(*other.expectation, *direct.expectation);
+    EXPECT_EQ(other.uncertainty->estimate, u.estimate);
+    EXPECT_EQ(other.uncertainty->standard_error, u.standard_error);
+    EXPECT_EQ(other.uncertainty->ci_lower, u.ci_lower);
+    EXPECT_EQ(other.uncertainty->ci_upper, u.ci_upper);
+  };
+
+  backend::StatevectorBackend service_backend(23);
+  service::CutService service(service_backend);
+  expect_identical(service.run(request));
+
+  backend::StatevectorBackend repeat_backend(23);
+  expect_identical(run(request, repeat_backend));
 }
 
 }  // namespace

@@ -13,8 +13,9 @@ namespace {
 
 struct Fixture {
   circuit::GoldenAnsatz ansatz;
-  Bipartition bp;
-  FragmentData data;
+  FragmentGraph graph;
+  ChainNeglectSpec spec;  // no neglect
+  ChainFragmentData data;
   std::vector<double> truth;
 
   static Fixture make(std::size_t shots, std::uint64_t seed) {
@@ -23,16 +24,18 @@ struct Fixture {
     options.num_qubits = 5;
     circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
     const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-    Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+    FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
 
     backend::StatevectorBackend backend(seed * 7 + 1);
     ExecutionOptions exec;
     exec.shots_per_variant = shots;
-    FragmentData data = execute_fragments(bp, NeglectSpec::none(1), backend, exec);
+    ChainNeglectSpec spec = ChainNeglectSpec::none(graph);
+    ChainFragmentData data = execute_chain(graph, spec, backend, exec);
 
     sim::StateVector sv(5);
     sv.apply_circuit(ansatz.circuit);
-    return Fixture{std::move(ansatz), std::move(bp), std::move(data), sv.probabilities()};
+    return Fixture{std::move(ansatz), std::move(graph), std::move(spec), std::move(data),
+                   sv.probabilities()};
   }
 };
 
@@ -41,7 +44,7 @@ TEST(Bootstrap, DistributionBandsCoverTruth) {
   BootstrapOptions options;
   options.replicas = 150;
   const DistributionUncertainty u =
-      bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), options);
+      bootstrap_distribution(fx.graph, fx.data, fx.spec, options);
 
   ASSERT_EQ(u.mean.size(), 32u);
   int covered = 0;
@@ -65,9 +68,9 @@ TEST(Bootstrap, StandardErrorShrinksWithShots) {
   options.replicas = 100;
 
   const DistributionUncertainty u_coarse =
-      bootstrap_distribution(coarse.bp, coarse.data, NeglectSpec::none(1), options);
+      bootstrap_distribution(coarse.graph, coarse.data, coarse.spec, options);
   const DistributionUncertainty u_fine =
-      bootstrap_distribution(fine.bp, fine.data, NeglectSpec::none(1), options);
+      bootstrap_distribution(fine.graph, fine.data, fine.spec, options);
 
   double coarse_total = 0.0, fine_total = 0.0;
   for (index_t x = 0; x < 32; ++x) {
@@ -91,7 +94,7 @@ TEST(Bootstrap, ExpectationCoversStatevectorValue) {
   BootstrapOptions options;
   options.replicas = 150;
   const ExpectationUncertainty u =
-      bootstrap_expectation(fx.bp, fx.data, NeglectSpec::none(1), obs, options);
+      bootstrap_expectation(fx.graph, fx.data, fx.spec, obs, options);
 
   EXPECT_NEAR(u.estimate, exact, 5.0 * u.standard_error + 0.05);
   EXPECT_LT(u.ci_lower, u.ci_upper);
@@ -109,24 +112,26 @@ TEST(Bootstrap, GoldenSpecGivesComparableErrorWithFewerVariants) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
 
-  NeglectSpec golden(1);
-  golden.neglect(0, ansatz.golden_basis);
+  NeglectSpec golden_spec(1);
+  golden_spec.neglect(0, ansatz.golden_basis);
+  const ChainNeglectSpec golden{{golden_spec}};
+  const ChainNeglectSpec full = ChainNeglectSpec::none(graph);
 
   backend::StatevectorBackend backend(11);
   ExecutionOptions exec;
   exec.shots_per_variant = 4000;
-  const FragmentData full_data = execute_fragments(bp, NeglectSpec::none(1), backend, exec);
-  const FragmentData golden_data = execute_fragments(bp, golden, backend, exec);
+  const ChainFragmentData full_data = execute_chain(graph, full, backend, exec);
+  const ChainFragmentData golden_data = execute_chain(graph, golden, backend, exec);
 
   const DiagonalObservable obs = DiagonalObservable::parity(5);
   BootstrapOptions boot;
   boot.replicas = 100;
   const ExpectationUncertainty u_full =
-      bootstrap_expectation(bp, full_data, NeglectSpec::none(1), obs, boot);
+      bootstrap_expectation(graph, full_data, full, obs, boot);
   const ExpectationUncertainty u_golden =
-      bootstrap_expectation(bp, golden_data, golden, obs, boot);
+      bootstrap_expectation(graph, golden_data, golden, obs, boot);
 
   EXPECT_LT(u_golden.standard_error, 2.0 * u_full.standard_error + 1e-3);
 }
@@ -137,22 +142,23 @@ TEST(Bootstrap, RejectsExactData) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const ChainNeglectSpec spec = ChainNeglectSpec::none(graph);
   backend::StatevectorBackend backend(2);
   ExecutionOptions exec;
   exec.exact = true;
-  const FragmentData data = execute_fragments(bp, NeglectSpec::none(1), backend, exec);
-  EXPECT_THROW((void)bootstrap_distribution(bp, data, NeglectSpec::none(1)), Error);
+  const ChainFragmentData data = execute_chain(graph, spec, backend, exec);
+  EXPECT_THROW((void)bootstrap_distribution(graph, data, spec), Error);
 }
 
 TEST(Bootstrap, OptionValidation) {
   const Fixture fx = Fixture::make(100, 6);
   BootstrapOptions bad;
   bad.replicas = 1;
-  EXPECT_THROW((void)bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), bad), Error);
+  EXPECT_THROW((void)bootstrap_distribution(fx.graph, fx.data, fx.spec, bad), Error);
   bad.replicas = 10;
   bad.confidence = 1.5;
-  EXPECT_THROW((void)bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), bad), Error);
+  EXPECT_THROW((void)bootstrap_distribution(fx.graph, fx.data, fx.spec, bad), Error);
 }
 
 TEST(Bootstrap, DeterministicForSeed) {
@@ -161,9 +167,9 @@ TEST(Bootstrap, DeterministicForSeed) {
   options.replicas = 20;
   options.seed = 99;
   const DistributionUncertainty a =
-      bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), options);
+      bootstrap_distribution(fx.graph, fx.data, fx.spec, options);
   const DistributionUncertainty b =
-      bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), options);
+      bootstrap_distribution(fx.graph, fx.data, fx.spec, options);
   EXPECT_EQ(a.mean, b.mean);
   EXPECT_EQ(a.ci_lower, b.ci_lower);
 }

@@ -22,21 +22,22 @@
 namespace qcut::cutting {
 namespace {
 
-Bipartition make_test_bipartition(std::uint64_t seed) {
+FragmentGraph make_test_graph(std::uint64_t seed) {
   Rng rng(seed);
   circuit::GoldenAnsatzOptions options;
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  return make_bipartition(ansatz.circuit, cuts);
+  return make_fragment_graph(ansatz.circuit, cuts);
 }
 
 TEST(Variants, UpstreamVariantRealizesTomographicMeasurement) {
-  const Bipartition bp = make_test_bipartition(1);
-  const int cut_qubit = bp.cuts[0].f1_qubit;
+  const FragmentGraph graph = make_test_graph(1);
+  const ChainFragment& f1 = graph.fragments[0];
+  const int cut_qubit = f1.out_cut_qubits[0];
 
-  sim::StateVector psi(bp.f1_width());
-  psi.apply_circuit(bp.f1);
+  sim::StateVector psi(f1.width());
+  psi.apply_circuit(f1.circuit);
 
   struct Case {
     MeasSetting setting;
@@ -44,10 +45,10 @@ TEST(Variants, UpstreamVariantRealizesTomographicMeasurement) {
   };
   for (const Case test_case : {Case{MeasSetting::X, Pauli::X}, Case{MeasSetting::Y, Pauli::Y},
                                Case{MeasSetting::Z, Pauli::Z}}) {
-    const UpstreamVariant variant = make_upstream_variant(
-        bp, encode_settings(std::array{test_case.setting}));
+    const FragmentVariant variant = make_fragment_variant(
+        graph, 0, FragmentVariantKey{0, encode_settings(std::array{test_case.setting})});
 
-    sim::StateVector rotated(bp.f1_width());
+    sim::StateVector rotated(f1.width());
     rotated.apply_circuit(variant.circuit);
     const std::vector<double> measured = rotated.probabilities();
 
@@ -73,22 +74,23 @@ TEST(Variants, UpstreamVariantRealizesTomographicMeasurement) {
 }
 
 TEST(Variants, DownstreamVariantEqualsPreparedFragment) {
-  const Bipartition bp = make_test_bipartition(2);
-  const int cut_qubit = bp.cuts[0].f2_qubit;
+  const FragmentGraph graph = make_test_graph(2);
+  const ChainFragment& f2 = graph.fragments[1];
+  const int cut_qubit = f2.in_qubits[0];
 
   for (linalg::PrepState prep : linalg::kAllPrepStates) {
-    const DownstreamVariant variant =
-        make_downstream_variant(bp, encode_preps(std::array{prep}));
+    const FragmentVariant variant =
+        make_fragment_variant(graph, 1, FragmentVariantKey{encode_preps(std::array{prep}), 0});
 
-    sim::StateVector via_variant(bp.f2_width());
+    sim::StateVector via_variant(f2.width());
     via_variant.apply_circuit(variant.circuit);
 
     // Reference: product state with the cut qubit in the prep state.
-    std::vector<linalg::CVec> initial(static_cast<std::size_t>(bp.f2_width()),
+    std::vector<linalg::CVec> initial(static_cast<std::size_t>(f2.width()),
                                       linalg::CVec{linalg::cx{1, 0}, linalg::cx{0, 0}});
     initial[static_cast<std::size_t>(cut_qubit)] = linalg::prep_state_vector(prep);
     sim::StateVector reference = sim::StateVector::product_state(initial);
-    reference.apply_circuit(bp.f2);
+    reference.apply_circuit(f2.circuit);
 
     const std::vector<double> a = via_variant.probabilities();
     const std::vector<double> b = reference.probabilities();
@@ -129,22 +131,28 @@ TEST(Variants, TwoCutIndicesCombineMixedRadix) {
 }
 
 TEST(Variants, VariantCircuitsExtendFragments) {
-  const Bipartition bp = make_test_bipartition(3);
-  const UpstreamVariant x_variant =
-      make_upstream_variant(bp, encode_settings(std::array{MeasSetting::X}));
-  EXPECT_EQ(x_variant.circuit.num_ops(), bp.f1.num_ops() + 1);  // one H appended
+  const FragmentGraph graph = make_test_graph(3);
+  const Circuit& f1 = graph.fragments[0].circuit;
+  const Circuit& f2 = graph.fragments[1].circuit;
+  const auto upstream = [&](MeasSetting setting) {
+    return make_fragment_variant(graph, 0,
+                                 FragmentVariantKey{0, encode_settings(std::array{setting})});
+  };
+  const auto downstream = [&](linalg::PrepState prep) {
+    return make_fragment_variant(graph, 1,
+                                 FragmentVariantKey{encode_preps(std::array{prep}), 0});
+  };
+  const FragmentVariant x_variant = upstream(MeasSetting::X);
+  EXPECT_EQ(x_variant.circuit.num_ops(), f1.num_ops() + 1);  // one H appended
 
-  const UpstreamVariant z_variant =
-      make_upstream_variant(bp, encode_settings(std::array{MeasSetting::Z}));
-  EXPECT_EQ(z_variant.circuit.num_ops(), bp.f1.num_ops());  // Z: nothing appended
+  const FragmentVariant z_variant = upstream(MeasSetting::Z);
+  EXPECT_EQ(z_variant.circuit.num_ops(), f1.num_ops());  // Z: nothing appended
 
-  const DownstreamVariant zplus =
-      make_downstream_variant(bp, encode_preps(std::array{linalg::PrepState::ZPlus}));
-  EXPECT_EQ(zplus.circuit.num_ops(), bp.f2.num_ops());  // |0>: nothing prepended
+  const FragmentVariant zplus = downstream(linalg::PrepState::ZPlus);
+  EXPECT_EQ(zplus.circuit.num_ops(), f2.num_ops());  // |0>: nothing prepended
 
-  const DownstreamVariant yminus =
-      make_downstream_variant(bp, encode_preps(std::array{linalg::PrepState::YMinus}));
-  EXPECT_EQ(yminus.circuit.num_ops(), bp.f2.num_ops() + 3);  // X, H, S prepended
+  const FragmentVariant yminus = downstream(linalg::PrepState::YMinus);
+  EXPECT_EQ(yminus.circuit.num_ops(), f2.num_ops() + 3);  // X, H, S prepended
 }
 
 TEST(Variants, OnlineDetectionWorksForTwoCuts) {
