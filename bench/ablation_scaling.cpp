@@ -6,7 +6,8 @@
 // time on multi-cut circuits, sweeping K = 1..3 and Kg = 0..K.
 //
 // The multi-cut circuits use disjoint real upstream blocks per cut, so
-// per-cut golden-Y holds exactly at every cut (see DESIGN.md).
+// per-cut golden-Y holds exactly at every cut (the upstream state factorizes
+// into one real state per cut, each with <O x Y> = 0).
 
 #include <cstdio>
 #include <iostream>

@@ -7,8 +7,9 @@
 // circuits per trial - 3.0e5 instead of 4.5e5 total shots over 50 trials.
 //
 // We substitute a fake device whose timing model charges per-job overhead
-// plus per-shot time (see DESIGN.md); the per-trial device seconds and the
-// total execution counts reproduce the paper's structure exactly.
+// plus per-shot time (backend/fake_hardware.hpp); the per-trial device
+// seconds and the total execution counts reproduce the paper's structure
+// exactly.
 
 #include <cstdio>
 #include <iostream>

@@ -11,7 +11,8 @@
 // with circuit_duration the critical path over per-gate durations plus
 // readout. The golden-cut speedup the paper measures comes from executing
 // 6 instead of 9 circuits per trial; that structure is exactly what this
-// model reproduces (see DESIGN.md, substitution table).
+// model reproduces: a trial's device time is set by its job count and its
+// shots, not by what the simulator computes for each circuit.
 
 #include <mutex>
 

@@ -36,7 +36,9 @@ class PauliString {
   /// Qubits carrying a non-identity label, ascending.
   [[nodiscard]] std::vector<int> support() const;
 
-  /// Number of Y labels (determines behaviour on real states; see DESIGN.md).
+  /// Number of Y labels. It determines behaviour on real states: a string
+  /// with an odd Y count is imaginary and antisymmetric, so its expectation
+  /// on any real state is zero.
   [[nodiscard]] int y_count() const noexcept;
 
   /// Full 2^n x 2^n matrix: kron(P_{n-1}, ..., P_1, P_0) so that qubit 0

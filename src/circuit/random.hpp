@@ -7,7 +7,10 @@
 //  * General        - unrestricted (used for the downstream fragment U2);
 //  * RealAmplitude  - gates with real matrices. A circuit of real gates keeps
 //                     the state real, which makes Pauli-Y a *golden* basis at
-//                     every cut for diagonal observables (DESIGN.md, Sec. 1);
+//                     every cut for diagonal observables (a real state's
+//                     conditional cut states are real symmetric, and Y is
+//                     imaginary antisymmetric; cutting_golden_invariant_test
+//                     sweeps the claim over random circuits and cuts);
 //  * IXClass        - {RX, X, Z, CZ}: preserves the class of states whose
 //                     amplitudes satisfy amp(b) in i^{popcount(b)} * R, which
 //                     makes Pauli-X golden instead.
@@ -86,9 +89,10 @@ struct MultiCutAnsatz {
 /// K-cut golden circuit: K *disjoint* real-amplitude upstream blocks, each
 /// feeding one cut wire into a joint downstream block. Disjointness makes
 /// the upstream state factorize per cut, so per-cut golden-Y holds exactly
-/// at every cut (NeglectSpec.neglect(k, Y) for all k is valid; see
-/// DESIGN.md on why an *entangled* real upstream would only admit
-/// string-level odd-Y neglect).
+/// at every cut (NeglectSpec.neglect(k, Y) for all k is valid). An
+/// *entangled* real upstream would only admit string-level odd-Y neglect:
+/// there a string such as (Y, Y) is real and symmetric and need not vanish
+/// (cutting/golden.hpp, neglect_odd_y_strings).
 [[nodiscard]] MultiCutAnsatz make_multi_cut_golden_ansatz(const MultiCutAnsatzOptions& options,
                                                           Rng& rng);
 

@@ -152,7 +152,6 @@ struct OperatorEntry {
   linalg::cx value;
 };
 
-
 /// The upstream fragment of a two-fragment graph.
 const ChainFragment& upstream_fragment(const FragmentGraph& graph, const char* caller) {
   QCUT_CHECK(graph.num_fragments() == 2,

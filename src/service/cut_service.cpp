@@ -493,9 +493,8 @@ void CutService::issue_wave(const JobPtr& job, const std::vector<WaveVariant>& v
 
   // DetectOnline on an N>2 chain amortizes ONE total budget across the
   // per-fragment waves: each wave draws remaining / waves_left, so the job
-  // never spends more than total_shot_budget overall. N=2 keeps the
-  // full-budget-per-wave split (each of its two waves plans the whole
-  // budget, as the two-fragment online pipeline always has).
+  // never spends more than total_shot_budget overall. At N=2 each of the
+  // two waves plans the whole budget.
   std::size_t wave_budget = opt.total_shot_budget;
   const bool amortized = j.phase == JobPhase::ExecutingFragmentWave &&
                          graph.num_fragments() > 2 && opt.total_shot_budget > 0;

@@ -86,8 +86,8 @@ struct CutJob {
   int wave_fragment = 0;  // online mode: which fragment the current wave runs
   /// DetectOnline with a total_shot_budget on an N>2 chain: the budget not
   /// yet committed to earlier waves (one budget amortized across all
-  /// fragment waves). Unused at N=2, which keeps the full-budget-per-wave
-  /// split its pinned results were produced with.
+  /// fragment waves). Unused at N=2, where each wave plans the full
+  /// budget.
   std::size_t online_budget_remaining = 0;
   cutting::CutResponse response;
 

@@ -284,9 +284,9 @@ std::pair<ExpectationUncertainty, DistributionUncertainty> bootstrap_two_fragmen
           bootstrap_distribution(graph, data, chain_spec, options)};
 }
 
-/// Two-fragment results pinned to the values the former dedicated
-/// two-fragment pipeline produced: raw distributions (by hash), term counts,
-/// job and shot totals, and bootstrap replicas at a fixed seed. Any change to the
+/// Two-fragment results pinned to fixed values: raw distributions (by
+/// hash), term counts, job and shot totals, and bootstrap replicas at a
+/// fixed seed. Any change to the
 /// variant circuits, seed streams, shot plan, contraction arithmetic or
 /// bootstrap RNG order moves at least one pin.
 TEST(ChainCutting, TwoFragmentResultsArePinned) {

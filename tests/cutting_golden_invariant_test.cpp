@@ -1,8 +1,9 @@
-// The central mathematical claim behind the designed golden ansatz
-// (DESIGN.md §1): a real-amplitude upstream state has <O x Y> = 0 for every
-// real observable O, so Pauli-Y is golden at EVERY valid cut of EVERY
-// real-gate circuit; the iX class {RX, X, Z, CZ} makes Pauli-X golden the
-// same way. Swept over random circuits and all their cut positions.
+// The central mathematical claim behind the designed golden ansatz: a
+// real-amplitude upstream state has <O x Y> = 0 for every real observable O
+// (O x Y is imaginary and antisymmetric, and a real state's expectation of
+// such an operator vanishes), so Pauli-Y is golden at EVERY valid cut of
+// EVERY real-gate circuit; the iX class {RX, X, Z, CZ} makes Pauli-X golden
+// the same way. Swept over random circuits and all their cut positions.
 
 #include <gtest/gtest.h>
 
