@@ -110,8 +110,8 @@ struct CutRunOptions {
   /// Static golden modes split it once over every fragment's variants.
   /// Under DetectOnline on an N>2 chain, ONE budget is amortized across the
   /// per-fragment waves (wave f draws remaining / waves_left), so the job
-  /// never exceeds this value in total. At N=2 each of the two waves keeps
-  /// the historical full-budget split (upstream/downstream parity), so a
+  /// never exceeds this value in total. At N=2 each of the two waves
+  /// (upstream, then the pruned downstream) plans the full budget, so a
   /// two-fragment online run may consume up to 2x this value.
   std::size_t total_shot_budget = 0;
   bool exact = false;  // exact fragment distributions instead of sampling
