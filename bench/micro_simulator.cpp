@@ -153,19 +153,9 @@ double median_seconds(int repeats, const Fn& fn) {
   return times[times.size() / 2];
 }
 
-/// Seconds per application of one compiled gate at `num_qubits` qubits.
+/// Seconds per application of one compiled gate on the kernels' native SoA
+/// layout (no StateVector round trip), at the tier `options` dispatches.
 double time_kernel(const circuit::Circuit& gate_circuit, const sim::EngineOptions& options) {
-  const sim::CompiledCircuit compiled = sim::compile_circuit(gate_circuit, options);
-  sim::StateVector sv(gate_circuit.num_qubits());
-  constexpr int kApplications = 200;
-  return median_seconds(3, [&] {
-           for (int i = 0; i < kApplications; ++i) compiled.apply(sv);
-         }) /
-         kApplications;
-}
-
-/// Seconds per application through the SIMD path's native SoA layout.
-double time_kernel_soa(const circuit::Circuit& gate_circuit, const sim::EngineOptions& options) {
   const sim::CompiledCircuit compiled = sim::compile_circuit(gate_circuit, options);
   sim::SoAState state(gate_circuit.num_qubits());
   constexpr int kApplications = 200;
@@ -187,9 +177,10 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   // The acceptance workload: a 16-qubit depth-64 random circuit, the
-  // scalar engine (specialized kernels + fusion + threading on the
-  // interleaved layout) vs the generic dense path. SIMD is switched off
-  // explicitly: this is also the baseline the SIMD gate below compares with.
+  // engine (specialized kernels + fusion + threading) vs the generic dense
+  // path, both applied to a StateVector (an exact SoA round trip each) on
+  // the Scalar tier. SIMD is switched off explicitly: this is also the
+  // baseline the SIMD gate below compares with.
   constexpr int kWidth = 16;
   constexpr int kDepth = 64;
   const circuit::Circuit c = random_for(kWidth, kDepth, 1);
@@ -245,8 +236,8 @@ int main(int argc, char** argv) {
                                              engine.fusion_stats().merged_2q_gates) /
                              static_cast<double>(c.num_ops());
 
-  // SIMD series: scalar vs vectorized SoA kernels, per kernel class and
-  // end-to-end on the acceptance workload. When no SIMD tier is available
+  // SIMD series: Scalar tier vs the dispatched AVX tier, per kernel class
+  // and end-to-end on the acceptance workload. When no SIMD tier is available
   // the series is skipped with a note (simd_available=0) and the SIMD gate
   // does not apply.
   const bool simd_available = sim::simd::best_isa() != sim::IsaLevel::Scalar;
@@ -268,25 +259,22 @@ int main(int argc, char** argv) {
       vectorized.apply(state);
     });
     simd_speedup = engine_seconds / simd_seconds;
-    simd_diagonal =
-        diagonal_s / time_kernel_soa(one_gate(circuit::GateKind::RZ, {8}, {0.7}),
-                                     simd_kernel_options);
-    simd_permutation =
-        permutation_s / time_kernel_soa(one_gate(circuit::GateKind::CX, {0, 15}),
-                                        simd_kernel_options);
+    simd_diagonal = diagonal_s / time_kernel(one_gate(circuit::GateKind::RZ, {8}, {0.7}),
+                                             simd_kernel_options);
+    simd_permutation = permutation_s / time_kernel(one_gate(circuit::GateKind::CX, {0, 15}),
+                                                   simd_kernel_options);
     simd_controlled =
-        controlled_s / time_kernel_soa(one_gate(circuit::GateKind::CRY, {0, 15}, {0.7}),
-                                       simd_kernel_options);
+        controlled_s / time_kernel(one_gate(circuit::GateKind::CRY, {0, 15}, {0.7}),
+                                   simd_kernel_options);
     simd_generic_1q =
-        generic_1q_s / time_kernel_soa(one_gate(circuit::GateKind::H, {8}),
-                                       simd_kernel_options);
+        generic_1q_s / time_kernel(one_gate(circuit::GateKind::H, {8}), simd_kernel_options);
     simd_generic_2q =
-        generic_2q_s / time_kernel_soa(one_gate(circuit::GateKind::RXX, {0, 15}, {0.7}),
-                                       simd_kernel_options);
-    std::printf("micro_simulator: simd (%s) %.4fs -> %.2fx over scalar engine\n", isa.c_str(),
+        generic_2q_s / time_kernel(one_gate(circuit::GateKind::RXX, {0, 15}, {0.7}),
+                                   simd_kernel_options);
+    std::printf("micro_simulator: simd (%s) %.4fs -> %.2fx over the Scalar tier\n", isa.c_str(),
                 simd_seconds, simd_speedup);
   } else {
-    std::printf("micro_simulator: no SIMD tier available on this CPU; "
+    std::printf("micro_simulator: no AVX tier in this build or on this CPU; "
                 "simd_speedup series skipped\n");
   }
 

@@ -148,8 +148,11 @@ ChainFragmentData execute_chain(const FragmentGraph& graph, const ChainNeglectSp
   }
 
   for (std::size_t v = 0; v < work.size(); ++v) {
-    data.fragments[static_cast<std::size_t>(work[v].fragment)].variants.emplace(
-        pack_variant_key(work[v].key), std::move(results[v]));
+    ChainFragmentData::PerFragment& fragment =
+        data.fragments[static_cast<std::size_t>(work[v].fragment)];
+    const std::uint64_t key = pack_variant_key(work[v].key);
+    fragment.variants.emplace(key, std::move(results[v]));
+    if (!options.exact) fragment.shots.emplace(key, shots_for[v]);
   }
 
   data.total_jobs = work.size();
@@ -171,8 +174,10 @@ void ingest_counts(ChainFragmentData& data, int fragment, FragmentVariantKey key
   QCUT_CHECK(counts.total_shots() > 0, "ingest_counts: counts are empty");
   QCUT_CHECK(counts.total_shots() == data.shots_per_variant,
              "ingest_counts: counts shot total does not match shots_per_variant");
-  data.fragments[static_cast<std::size_t>(fragment)].variants[pack_variant_key(key)] =
-      counts.to_probabilities();
+  ChainFragmentData::PerFragment& per_fragment =
+      data.fragments[static_cast<std::size_t>(fragment)];
+  per_fragment.variants[pack_variant_key(key)] = counts.to_probabilities();
+  per_fragment.shots[pack_variant_key(key)] = counts.total_shots();
   ++data.total_jobs;
   data.total_shots += counts.total_shots();
 }

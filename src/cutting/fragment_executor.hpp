@@ -77,6 +77,10 @@ struct ChainFragmentData {
     int width = 0;
     /// pack_variant_key(key) -> outcome distribution over 2^width.
     std::unordered_map<std::uint64_t, std::vector<double>> variants;
+    /// pack_variant_key(key) -> shots that variant ran with (sampled data
+    /// only: empty in exact mode). Under a total budget the counts differ
+    /// by variant, and across DetectOnline waves by wave.
+    std::unordered_map<std::uint64_t, std::size_t> shots;
   };
   std::vector<PerFragment> fragments;
   std::vector<int> boundary_num_cuts;  // K_b per boundary
@@ -115,9 +119,10 @@ struct ChainFragmentData {
 // counts. Set its shots_per_variant first: every ingested histogram must
 // carry exactly that many shots.
 
-/// Records the counts of fragment `fragment`'s variant `key`. Throws when
-/// the register width does not match the fragment, the counts are empty, or
-/// their shot total differs from data.shots_per_variant (which must be set).
+/// Records the counts of fragment `fragment`'s variant `key` (distribution
+/// and shot total). Throws when the register width does not match the
+/// fragment, the counts are empty, or their shot total differs from
+/// data.shots_per_variant (which must be set).
 void ingest_counts(ChainFragmentData& data, int fragment, FragmentVariantKey key,
                    const backend::Counts& counts);
 

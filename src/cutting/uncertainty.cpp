@@ -13,7 +13,8 @@ namespace qcut::cutting {
 
 namespace {
 
-/// One multinomial resample of every variant distribution in `data`.
+/// One multinomial resample of every variant distribution in `data`, each
+/// at the shot count that variant ran with.
 ///
 /// Fragments are visited in order and each fragment's variants in ascending
 /// key order, so the RNG consumption sequence — and with it every bootstrap
@@ -22,11 +23,13 @@ namespace {
 /// and rehash histories.
 ChainFragmentData resample(const ChainFragmentData& data, Rng& rng) {
   ChainFragmentData replica = data;
-  const std::size_t shots = data.shots_per_variant;
   for (ChainFragmentData::PerFragment& fragment : replica.fragments) {
     for (std::uint64_t key : sorted_keys(fragment.variants)) {
+      const auto shots = fragment.shots.find(key);
+      QCUT_CHECK(shots != fragment.shots.end(),
+                 "bootstrap: a sampled variant has no recorded shot count");
       std::vector<double>& probs = fragment.variants.at(key);
-      const auto histogram = sim::sample_histogram(probs, shots, rng);
+      const auto histogram = sim::sample_histogram(probs, shots->second, rng);
       probs = sim::histogram_to_probabilities(histogram);
     }
   }

@@ -522,7 +522,8 @@ void CutService::issue_wave(const JobPtr& job, const std::vector<WaveVariant>& v
       j.phase == JobPhase::ExecutingFragments || j.wave_fragment == 0;
   if (first_wave) {
     // Later online waves keep the first wave's value, mirroring the
-    // historical upstream/downstream merge.
+    // historical upstream/downstream merge; each variant's own count is
+    // recorded beside its distribution (absorb_wave) for the bootstrap.
     data.shots_per_variant = plan.smallest_share;
   }
   data.total_jobs += plan.slots.size();
@@ -722,8 +723,11 @@ void CutService::absorb_wave(const JobPtr& job) {
     // the variant was dropped from reconstruction, so it contributes no
     // distribution - and never poisons the per-fragment data.
     if (slot.result == nullptr) continue;
-    data.fragments[static_cast<std::size_t>(slot.fragment)].variants.emplace(
-        cutting::pack_variant_key(slot.key), *slot.result);
+    cutting::ChainFragmentData::PerFragment& fragment =
+        data.fragments[static_cast<std::size_t>(slot.fragment)];
+    const std::uint64_t key = cutting::pack_variant_key(slot.key);
+    fragment.variants.emplace(key, *slot.result);
+    if (slot.shots > 0) fragment.shots.emplace(key, slot.shots);  // 0: exact mode
   }
   j.slots.clear();
   j.slots.shrink_to_fit();

@@ -54,22 +54,13 @@ circuit::Circuit with_row_major_layout(const circuit::Circuit& circuit) {
 
 class CpuDeviceState final : public DeviceState {
  public:
-  /// Representation follows the device's dispatch: SoA split re/im when the
-  /// SIMD kernels are active (their native layout), interleaved StateVector
-  /// otherwise. Both are exact containers; the choice never affects values.
-  CpuDeviceState(int num_qubits, bool soa)
-      : sv_(soa ? 1 : num_qubits), soa_(soa ? num_qubits : 1), is_soa_(soa) {}
+  /// Split re/im amplitudes: the native layout of every kernel tier.
+  explicit CpuDeviceState(int num_qubits) : soa_(num_qubits) {}
 
-  [[nodiscard]] int num_qubits() const noexcept override {
-    return is_soa_ ? soa_.num_qubits() : sv_.num_qubits();
-  }
-  [[nodiscard]] index_t dim() const noexcept override {
-    return is_soa_ ? soa_.dim() : sv_.dim();
-  }
+  [[nodiscard]] int num_qubits() const noexcept override { return soa_.num_qubits(); }
+  [[nodiscard]] index_t dim() const noexcept override { return soa_.dim(); }
 
-  StateVector sv_;
   SoAState soa_;
-  bool is_soa_ = false;
 };
 
 class CpuCompiledProgram final : public CompiledProgram {
@@ -120,8 +111,8 @@ class CpuDevice final : public Device {
       if (!options_.fusion.merge_2q_chains) token += "-no2q";
       if (options_.fusion.fuse_to_3q) token += "+3q";
     }
-    // No SIMD marker: every ISA tier is bit-for-bit equal to the scalar
-    // kernels, so devices on different hosts share cache namespaces.
+    // No SIMD marker: every ISA tier is bit-for-bit equal to the Scalar
+    // tier, so devices on different hosts share cache namespaces.
     return token;
   }
 
@@ -189,7 +180,7 @@ class CpuDevice final : public Device {
   }
 
   [[nodiscard]] std::unique_ptr<DeviceState> create_state(int num_qubits) const override {
-    return std::make_unique<CpuDeviceState>(num_qubits, caps_.isa != IsaLevel::Scalar);
+    return std::make_unique<CpuDeviceState>(num_qubits);
   }
 
   [[nodiscard]] std::unique_ptr<DeviceState> clone_state(
@@ -200,49 +191,22 @@ class CpuDevice final : public Device {
   void copy_state(const DeviceState& src, DeviceState& dst) const override {
     const auto& s = checked_state(src);
     auto& d = checked_state(dst);
-    QCUT_CHECK(s.is_soa_ == d.is_soa_ && s.num_qubits() == d.num_qubits(),
-               "copy_state: states have different shapes");
-    if (s.is_soa_) {
-      d.soa_ = s.soa_;
-    } else {
-      d.sv_ = s.sv_;  // copy-assignment reuses the destination buffer
-    }
-  }
-
-  [[nodiscard]] std::size_t workspace_size(const CompiledProgram& program) const override {
-    // SIMD programs applied to an interleaved StateVector round-trip through
-    // an SoA scratch copy (2 doubles per amplitude); states created by this
-    // device are already SoA in that configuration, so apply() through the
-    // Device interface is always in place.
-    const auto& p = checked_program(program);
-    if (p.compiled.isa() == IsaLevel::Scalar || caps_.isa != IsaLevel::Scalar) return 0;
-    return (index_t{2} * sizeof(double)) << p.compiled.num_qubits();
+    QCUT_CHECK(s.num_qubits() == d.num_qubits(), "copy_state: states have different shapes");
+    d.soa_ = s.soa_;  // copy-assignment reuses the destination buffers
   }
 
   void apply(const CompiledProgram& program, DeviceState& state) const override {
-    const auto& p = checked_program(program);
-    auto& s = checked_state(state);
-    if (s.is_soa_) {
-      p.compiled.apply(s.soa_);
-    } else {
-      p.compiled.apply(s.sv_);
-    }
+    checked_program(program).compiled.apply(checked_state(state).soa_);
   }
 
   void probabilities(const DeviceState& state, std::vector<double>& out) const override {
-    const auto& s = checked_state(state);
-    if (s.is_soa_) {
-      s.soa_.probabilities_into(out);
-    } else {
-      s.sv_.probabilities_into(out);
-    }
+    checked_state(state).soa_.probabilities_into(out);
   }
 
   [[nodiscard]] linalg::CVec amplitudes(const DeviceState& state) const override {
-    const auto& s = checked_state(state);
-    if (!s.is_soa_) return s.sv_.amplitudes();
-    linalg::CVec out(s.soa_.dim());
-    for (index_t i = 0; i < s.soa_.dim(); ++i) out[i] = s.soa_.amplitude(i);
+    const SoAState& soa = checked_state(state).soa_;
+    linalg::CVec out(soa.dim());
+    for (index_t i = 0; i < soa.dim(); ++i) out[i] = soa.amplitude(i);
     return out;
   }
 

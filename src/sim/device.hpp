@@ -19,9 +19,8 @@
 // result-affecting configuration (today: the gate fusion flags); two
 // devices with equal caps().name and identity_token() return bit-for-bit
 // equal results for every program/state sequence. Knobs that are
-// bit-for-bit neutral (specialization, SIMD dispatch and its ISA,
-// threading, cache blocking, workspace placement) must NOT appear in the
-// token.
+// bit-for-bit neutral (specialization, the kernel tier's ISA, threading,
+// cache blocking) must NOT appear in the token.
 
 #include <array>
 #include <cstddef>
@@ -56,9 +55,9 @@ struct DeviceCaps {
   ComputeType compute_type = ComputeType::C128;  // amplitude precision
   int max_qubits = 26;                           // widest supported state
   bool supports_prefix_fork = true;  // compile_prefix/compile_suffix usable
-  /// ISA the SIMD path dispatches to (Scalar when the device was built
+  /// Kernel tier the device dispatches to (Scalar when the device was built
   /// without SIMD, the host lacks AVX2, or EngineOptions::simd is off).
-  /// Speed only: every ISA returns bit-for-bit equal results.
+  /// Speed only: every tier returns bit-for-bit equal results.
   IsaLevel isa = IsaLevel::Scalar;
 };
 
@@ -150,10 +149,6 @@ class Device {
 
   /// Overwrites `dst` with `src` (exact; both from this device, same width).
   virtual void copy_state(const DeviceState& src, DeviceState& dst) const = 0;
-
-  /// Scratch bytes apply() allocates beyond the state itself for this
-  /// program (0 when it applies in place).
-  [[nodiscard]] virtual std::size_t workspace_size(const CompiledProgram& program) const = 0;
 
   /// Applies every compiled operation in order.
   virtual void apply(const CompiledProgram& program, DeviceState& state) const = 0;

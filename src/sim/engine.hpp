@@ -41,15 +41,15 @@
 // work threshold (`min_parallel_work`) where pool dispatch would cost more
 // than the kernel itself.
 //
-// SIMD: with EngineOptions::simd (the default) the compiled circuit executes
-// on a split real/imag (SoA) amplitude layout through runtime-dispatched
-// AVX2/AVX-512 kernels (sim/simd_kernels.hpp). Every lane performs the same
-// IEEE operations, grouped the same way, as the interleaved scalar kernels
-// here, with no FMA contraction, so the SIMD path is bit-for-bit identical
-// to them at every ISA: like specialization, it is bit-neutral and never
-// part of a cache identity. When the build or the CPU lacks AVX2 the flag
-// quietly falls back to the interleaved scalar path (isa() ==
-// IsaLevel::Scalar).
+// Kernel tiers: a compiled circuit executes on a split real/imag (SoA)
+// amplitude layout through one kernel table (sim/simd_kernels.hpp). The
+// Scalar tier is always built; with EngineOptions::simd (the default) the
+// table is the widest AVX2/AVX-512 tier the build and the CPU support. Every
+// AVX lane performs the Scalar tier's IEEE operations, grouped the same way,
+// with no FMA contraction, so every tier is bit-for-bit equal to the Scalar
+// tier: like specialization, the ISA is bit-neutral and never part of a
+// cache identity. When the build or the CPU lacks AVX2 the flag quietly
+// selects the Scalar tier (isa() == IsaLevel::Scalar).
 //
 // Cache blocking: runs of at least two consecutive ops whose qubits all lie
 // below `cache_block_qubits` are applied block-by-block — every 2^B-sized
@@ -97,10 +97,10 @@ struct EngineOptions {
   /// Fusion pass configuration (used when `fuse` is set).
   circuit::FusionOptions fusion{};
 
-  /// Execute through the SoA/SIMD kernel path (AVX2, or AVX-512 where the
-  /// CPU has it). Bit-for-bit identical to the scalar kernels; disable only
-  /// to time or test them. Falls back to the scalar path when the build
-  /// (CMake QCUT_SIMD) or the CPU lacks AVX2.
+  /// Dispatch to the widest AVX kernel tier (AVX2, or AVX-512 where the CPU
+  /// has it). Bit-for-bit identical to the Scalar tier; disable only to pin
+  /// the Scalar tier for timing or testing. Selects the Scalar tier anyway
+  /// when the build (CMake QCUT_SIMD) or the CPU lacks AVX2.
   bool simd = true;
 
   /// Thread kernel loops over amplitude chunks for states with at least
@@ -125,8 +125,8 @@ struct EngineOptions {
   parallel::ThreadPool* pool = nullptr;
 
   /// The pre-engine reference configuration: dense generic application of
-  /// every gate on the interleaved layout, no fusion, no SIMD, no threading,
-  /// no blocking. The benchmark baseline.
+  /// every gate on the Scalar tier, no fusion, no threading, no blocking —
+  /// StateVector::apply_matrix's arithmetic. The benchmark baseline.
   [[nodiscard]] static EngineOptions generic() {
     EngineOptions options;
     options.specialize = false;
@@ -199,9 +199,9 @@ class CompiledCircuit {
   [[nodiscard]] std::span<const CompiledOp> compiled_ops() const noexcept { return ops_; }
   [[nodiscard]] std::span<const Segment> segments() const noexcept { return segments_; }
 
-  /// The ISA the SIMD path dispatched to at compile time: Scalar unless
-  /// options.simd is set (the default), the build has QCUT_SIMD, and the
-  /// CPU supports at least AVX2.
+  /// The kernel tier dispatched at compile time: Scalar unless options.simd
+  /// is set (the default), the build has QCUT_SIMD, and the CPU supports at
+  /// least AVX2.
   [[nodiscard]] IsaLevel isa() const noexcept { return isa_; }
 
   /// Gates absorbed by the fusion pass (zero when compiled without fusion).
@@ -209,22 +209,19 @@ class CompiledCircuit {
     return fusion_stats_;
   }
 
-  /// Applies every compiled operation in order. When the SIMD path is
-  /// active (isa() != Scalar) the amplitudes round-trip through an SoA
-  /// scratch state; callers on the hot path hand the engine an SoAState
-  /// directly instead.
+  /// Applies every compiled operation in order. The amplitudes round-trip
+  /// through an SoA scratch state (exact copies both ways); callers on the
+  /// hot path hand the engine an SoAState directly instead.
   void apply(StateVector& state) const;
 
   /// Applies every compiled operation to a split re/im state using the
-  /// dispatched SIMD kernels (scalar SoA kernels when isa() == Scalar).
+  /// dispatched kernel tier.
   void apply(SoAState& state) const;
 
  private:
   friend CompiledCircuit compile_ops(std::span<const circuit::Operation>, int,
                                      const EngineOptions&);
   friend CompiledCircuit compile_circuit(const circuit::Circuit&, const EngineOptions&);
-
-  void apply_scalar(StateVector& state) const;
 
   int num_qubits_ = 0;
   EngineOptions options_{};

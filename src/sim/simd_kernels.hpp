@@ -16,8 +16,10 @@
 // (__builtin_cpu_supports) and picks the widest table both the build and
 // the machine support.
 //
-// Rounding contract: every tier is bit-for-bit equal to the interleaved
-// std::complex kernels in engine.cpp. Each lane performs the same IEEE
+// Rounding contract: every tier is bit-for-bit equal to the Scalar tier,
+// and every kernel rounds as the std::complex<double> arithmetic of
+// StateVector::apply_matrix does (the specialized classes skip only exact
+// zeros and ones, see engine.hpp). Each lane performs the same IEEE
 // multiplies, adds and subtracts, grouped the same way, and nothing is
 // contracted into an FMA (see simd_kernels_impl.hpp). Dispatch therefore
 // never affects a result: EngineOptions::simd is bit-neutral and no ISA
@@ -36,9 +38,9 @@ struct SoaSpan {
   index_t dim = 0;
 };
 
-/// Applies `op` to the amplitude groups [group_lo, group_hi) of `span`.
-/// Group semantics match the AoS kernels: group_count(op, dim) enumerates
-/// the independent index groups the op touches.
+/// Applies `op` to the amplitude groups [group_lo, group_hi) of `span`:
+/// group_count(op, dim) enumerates the independent index groups the op
+/// touches.
 using KernelFn = void (*)(const SoaSpan& span, const CompiledOp& op, index_t group_lo,
                           index_t group_hi);
 

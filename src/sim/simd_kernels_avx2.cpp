@@ -2,7 +2,7 @@
 // (with its AVX-512 sibling) allowed to emit AVX instructions: CMake adds
 // -mavx2 -ffp-contract=off to exactly this file, and best_isa() never hands
 // out this table unless __builtin_cpu_supports confirms the host. The policy
-// has no fused multiply-add, so every lane rounds like the scalar engine.
+// has no fused multiply-add, so every lane rounds like the Scalar tier.
 
 #include "sim/simd_kernels.hpp"
 

@@ -8,8 +8,9 @@
 // sequences and differs only in lane width.
 //
 // Rounding contract: every lane performs the same IEEE operations, grouped
-// the same way, as the std::complex<double> kernels in engine.cpp, so every
-// tier is bit-for-bit equal to the interleaved scalar engine:
+// the same way, as std::complex<double> arithmetic in
+// StateVector::apply_matrix, so every tier is bit-for-bit equal to the
+// Scalar tier (the width-1 instantiation) and == to apply_matrix:
 //   * a complex product a*b is (ar*br - ai*bi, ar*bi + ai*br) (mul_re /
 //     mul_im below; products commute exactly, so the operand order inside
 //     a product does not matter);
@@ -273,7 +274,8 @@ struct SoaKernels {
   }
 
   /// Dense k-qubit fallback (k >= 3): scalar gather/matvec/scatter over
-  /// op.perm_dst's precomputed pattern offsets, mirroring the AoS kernel.
+  /// op.perm_dst's precomputed pattern offsets, mirroring
+  /// StateVector::apply_matrix's k-qubit loop.
   static void generic_kq(const SoaSpan& s, const CompiledOp& op, index_t lo, index_t hi) {
     const int k = static_cast<int>(op.qubits.size());
     const index_t block = pow2(k);

@@ -1,5 +1,6 @@
 #pragma once
-// Split real/imaginary (structure-of-arrays) statevector storage.
+// Split real/imaginary (structure-of-arrays) statevector storage: the one
+// layout every engine kernel tier runs on.
 //
 // StateVector stores interleaved std::complex<double>, which forces every
 // vector lane to carry a re/im pair and every SIMD complex multiply to
@@ -8,9 +9,9 @@
 // parts and W imaginary parts with two contiguous loads and keep the
 // complex arithmetic as independent lane-wise multiply/add chains.
 // Conversion to and from the interleaved layout is an exact copy — no
-// arithmetic, so it cannot perturb amplitudes — and the SIMD kernels round
-// exactly as the interleaved scalar kernels do, so the layout never shows
-// in a result.
+// arithmetic, so it cannot perturb amplitudes — and every tier rounds
+// exactly as the Scalar tier and StateVector::apply_matrix do, so the
+// layout never shows in a result.
 
 #include <vector>
 

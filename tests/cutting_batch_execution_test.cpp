@@ -259,6 +259,8 @@ TEST(BatchedExecution, ExecuteChainBatchedEqualsPerVariantEverywhere) {
           ASSERT_NE(it, actual_variants.end());
           EXPECT_EQ(it->second, dist);
         }
+        EXPECT_EQ(actual.fragments[static_cast<std::size_t>(f)].shots,
+                  expected.fragments[static_cast<std::size_t>(f)].shots);
       }
 
       EXPECT_EQ(reconstruct_distribution(graph, actual, *tc.spec).raw_probabilities,

@@ -34,6 +34,54 @@ TEST(ShotBudget, SplitsEvenlyWithRemainderToEarliest) {
   EXPECT_EQ(data.shots_per_variant, 1000u);  // the smallest share
 }
 
+/// Each variant's executed shot count is recorded beside its distribution:
+/// the planned share under a budget, the fixed count otherwise, the counts'
+/// total when ingested, and nothing in exact mode.
+TEST(ShotBudget, DataRecordsEachVariantsShotCount) {
+  Rng rng(1);
+  circuit::GoldenAnsatzOptions options;
+  options.num_qubits = 5;
+  const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
+  const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const ChainNeglectSpec spec = ChainNeglectSpec::none(graph);
+
+  backend::StatevectorBackend backend(2);
+  ExecutionOptions exec;
+  exec.total_shot_budget = 9005;  // 5 get 1001 shots, 4 get 1000, in execution order
+  const ChainFragmentData data = execute_chain(graph, spec, backend, exec);
+  const std::vector<std::size_t> plan = plan_variant_shots(0, 9005, false, 9);
+  std::size_t v = 0;
+  std::uint64_t total = 0;
+  for (int f = 0; f < graph.num_fragments(); ++f) {
+    const auto& shots = data.fragments[static_cast<std::size_t>(f)].shots;
+    EXPECT_EQ(shots.size(), data.fragments[static_cast<std::size_t>(f)].variants.size());
+    for (const FragmentVariantKey& key : required_fragment_variants(graph, f, spec)) {
+      EXPECT_EQ(shots.at(pack_variant_key(key)), plan[v++]);
+      total += shots.at(pack_variant_key(key));
+    }
+  }
+  EXPECT_EQ(total, data.total_shots);
+
+  exec.total_shot_budget = 0;
+  exec.shots_per_variant = 700;
+  const ChainFragmentData fixed = execute_chain(graph, spec, backend, exec);
+  for (const auto& fragment : fixed.fragments) {
+    for (const auto& [key, shots] : fragment.shots) EXPECT_EQ(shots, 700u) << key;
+  }
+
+  ChainFragmentData ingested = make_chain_data(graph);
+  ingested.shots_per_variant = 700;
+  backend::Counts counts(graph.fragments[0].width());
+  counts.add(0, 700);
+  ingest_counts(ingested, 0, FragmentVariantKey{0, 2}, counts);
+  EXPECT_EQ(ingested.fragments[0].shots.at(pack_variant_key(FragmentVariantKey{0, 2})), 700u);
+
+  exec.exact = true;
+  const ChainFragmentData exact = execute_chain(graph, spec, backend, exec);
+  for (const auto& fragment : exact.fragments) EXPECT_TRUE(fragment.shots.empty());
+}
+
 TEST(ShotBudget, BudgetTooSmallRejected) {
   Rng rng(2);
   circuit::GoldenAnsatzOptions options;

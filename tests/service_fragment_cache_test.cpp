@@ -176,7 +176,7 @@ TEST(FragmentCache, UnboundedBytesByDefault) {
 
 // Cache-key soundness across engine configurations: the fragment cache is
 // keyed by hash_variant_execution, which folds in Backend::identity(). Every
-// SIMD tier is bit-for-bit equal to the scalar kernels, so a scalar backend
+// SIMD tier is bit-for-bit equal to the Scalar tier, so a scalar backend
 // and a SIMD backend with equal seeds and fusion flags return identical
 // results and share one entry — on this host and across hosts with
 // different ISAs.

@@ -181,9 +181,6 @@ TEST(CpuDevice, SummaryReportsCompiledShape) {
   EXPECT_EQ(s.isa, simd::best_isa());
   EXPECT_GT(s.fused_fraction(), 0.0);
   EXPECT_FALSE(s.to_string().empty());
-
-  // Workspace: in-place for scalar programs and for SoA states.
-  EXPECT_EQ(device->workspace_size(*device->compile(c)), 0u);
 }
 
 TEST(CpuDevice, IdentityTokenEncodesResultAffectingKnobsOnly) {
@@ -201,7 +198,7 @@ TEST(CpuDevice, IdentityTokenEncodesResultAffectingKnobsOnly) {
   EXPECT_EQ(make_cpu_device(flags)->identity_token(), "+fusion-nomerge-nofold-no2q+3q");
 
   // Bit-neutral knobs must NOT appear: threading, grain, blocking, SIMD
-  // dispatch (every ISA tier is bit-for-bit equal to the scalar kernels).
+  // dispatch (every ISA tier is bit-for-bit equal to the Scalar tier).
   EngineOptions neutral;
   neutral.threading_threshold_qubits = 2;
   neutral.min_parallel_work = 1;
@@ -223,17 +220,28 @@ TEST(CpuDevice, SimdDeviceMatchesScalarBitForBit) {
   EXPECT_EQ(device_amplitudes(*scalar_device, c), device_amplitudes(*simd_device, c));
   EXPECT_EQ(device_probabilities(*scalar_device, c), device_probabilities(*simd_device, c));
 
-  // Prefix forking stays exact relative to the SIMD device's own whole
-  // compile (the stream property is layout- and ISA-independent).
+  // Prefix forking stays exact on either tier, relative to the SIMD
+  // device's whole compile (the stream property is ISA-independent): a
+  // prefix applied once, then each member forked through clone_state and
+  // through copy_state before its suffix — the shared-prefix batch path.
   const std::vector<double> whole = device_probabilities(*simd_device, c);
-  const auto prefix = simd_device->compile_prefix(c, c.num_ops() / 2);
-  const auto state = simd_device->create_state(c.num_qubits());
-  simd_device->apply(*prefix, *state);
-  const auto suffix = simd_device->compile_suffix(*prefix, c);
-  simd_device->apply(*suffix, *state);
-  std::vector<double> forked;
-  simd_device->probabilities(*state, forked);
-  EXPECT_EQ(forked, whole);
+  for (const Device* device : {simd_device.get(), scalar_device.get()}) {
+    SCOPED_TRACE(isa_level_name(device->caps().isa));
+    const auto prefix = device->compile_prefix(c, c.num_ops() / 2);
+    const auto state = device->create_state(c.num_qubits());
+    device->apply(*prefix, *state);
+    const auto suffix = device->compile_suffix(*prefix, c);
+
+    const auto cloned = device->clone_state(*state);
+    const auto copied = device->create_state(c.num_qubits());
+    device->copy_state(*state, *copied);
+    for (DeviceState* fork : {state.get(), cloned.get(), copied.get()}) {
+      device->apply(*suffix, *fork);
+      std::vector<double> forked;
+      device->probabilities(*fork, forked);
+      EXPECT_EQ(forked, whole);
+    }
+  }
 }
 
 }  // namespace

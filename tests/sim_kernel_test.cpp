@@ -4,8 +4,9 @@
 //  * every specialized kernel is BIT-FOR-BIT identical to the generic
 //    StateVector::apply_matrix path, across random gates, random qubit
 //    orders, and widths;
-//  * every SoA/SIMD kernel tier is bit-for-bit identical to the interleaved
-//    scalar engine (and so to the generic path);
+//  * every SoA/SIMD kernel tier is bit-for-bit identical to the Scalar tier
+//    and equal (==) to the generic path; with specialization off, the
+//    Scalar tier is bit-for-bit identical to the generic path itself;
 //  * threaded kernel application is bit-for-bit identical at any thread
 //    count (1 vs N);
 //  * the fusion pass stays within 1e-12 of the unfused circuit, and its
@@ -305,11 +306,14 @@ TEST(CacheBlocking, BitForBitEqualToUnblocked) {
 
 // ---- SIMD path --------------------------------------------------------------
 //
-// Every SoA kernel tier performs the interleaved engine's IEEE operations,
-// grouped the same way, with no FMA contraction, so every tier is
-// bit-for-bit equal to the scalar engine — including the sign of zeros —
-// and equal (==) to the generic apply_matrix path. Tiers the build or CPU
-// lacks fall back to the Scalar table, so the matrices below always run.
+// Every SoA kernel tier performs the Scalar tier's IEEE operations, grouped
+// the same way, with no FMA contraction, so every tier is bit-for-bit equal
+// to the Scalar tier — including the sign of zeros — and equal (==) to the
+// generic apply_matrix path. The dense (generic) classes perform exactly
+// apply_matrix's operations, so there the Scalar tier is bit-for-bit equal
+// to apply_matrix too: the reference outside the kernel template. Tiers the
+// build or CPU lacks fall back to the Scalar table, so the matrices below
+// always run.
 
 constexpr std::array<IsaLevel, 3> kAllIsas = {IsaLevel::Scalar, IsaLevel::Avx2,
                                               IsaLevel::Avx512};
@@ -339,6 +343,12 @@ linalg::CMat random_dense(index_t dim, Rng& rng) {
     for (index_t c = 0; c < dim; ++c) m(r, c) = cx{rng.normal(), rng.normal()};
   }
   return m;
+}
+
+/// The dense classes, whose kernels perform apply_matrix's operations.
+bool is_dense(KernelClass cls) {
+  return cls == KernelClass::Generic1Q || cls == KernelClass::Generic2Q ||
+         cls == KernelClass::GenericKQ;
 }
 
 /// One representative op of `cls` on `qubits` (arity 1..3 as the class
@@ -414,7 +424,8 @@ std::vector<std::vector<int>> qubit_orders(int arity, int width, Rng& rng) {
 /// two chunks split at a group index that is not a multiple of any lane
 /// width, so runs shorter than a vector register (gates on qubits 0..2)
 /// and partial runs both take the scalar tails. Results must equal the
-/// interleaved AoS engine bit for bit and the generic apply_matrix path ==.
+/// Scalar tier applied in one pass bit for bit and the generic apply_matrix
+/// path == (bit for bit for the dense classes).
 TEST(SimdKernels, BitIdentityMatrix) {
   constexpr std::array<KernelClass, 6> kClasses = {
       KernelClass::Diagonal,  KernelClass::Permutation, KernelClass::Controlled1Q,
@@ -441,8 +452,8 @@ TEST(SimdKernels, BitIdentityMatrix) {
             ASSERT_EQ(compiled.kernel_class(0), cls);
 
             const StateVector input = random_state(width, rng);
-            StateVector aos = input;
-            compiled.apply(aos);
+            StateVector scalar = input;
+            compiled.apply(scalar);
             StateVector generic = input;
             generic.apply_matrix(op.matrix(), op.qubits);
 
@@ -457,8 +468,9 @@ TEST(SimdKernels, BitIdentityMatrix) {
             StateVector vectorized(width);
             soa.extract_to(vectorized);
 
-            expect_bits_equal(aos, vectorized);
+            expect_bits_equal(scalar, vectorized);
             expect_amps_equal(generic, vectorized);
+            if (is_dense(cls)) expect_bits_equal(generic, vectorized);
             ++cases;
           }
         }
@@ -469,7 +481,7 @@ TEST(SimdKernels, BitIdentityMatrix) {
 }
 
 /// Every named gate at every qubit placement: the default engine (SIMD on)
-/// vs the interleaved scalar engine bit for bit, and vs the generic path ==.
+/// vs the Scalar tier bit for bit, and vs the generic path ==.
 TEST(SimdKernels, EveryNamedGateBitForBit) {
   struct Case {
     GateKind kind;
@@ -525,9 +537,10 @@ TEST(SimdKernels, EveryNamedGateBitForBit) {
   }
 }
 
-/// Whole random circuits of 3..12 qubits through the SoA path, fusion on
-/// and off, specialized and generic, with cache blocking in play: bit for
-/// bit equal to the interleaved scalar engine.
+/// Whole random circuits of 3..12 qubits through the dispatched tier, fusion
+/// on and off, specialized and generic, with cache blocking in play: bit for
+/// bit equal to the Scalar tier, and — unfused and generic — bit for bit
+/// equal to apply_circuit's per-gate apply_matrix.
 TEST(SimdKernels, RandomCircuitsBitForBit) {
   Rng rng(67);
   for (const bool fuse : {true, false}) {
@@ -545,6 +558,11 @@ TEST(SimdKernels, RandomCircuitsBitForBit) {
         scalar_options.cache_block_qubits = 4;
         StateVector scalar(width);
         compile_circuit(c, scalar_options).apply(scalar);
+        if (!fuse && !specialize) {
+          StateVector generic(width);
+          generic.apply_circuit(c);
+          expect_bits_equal(generic, scalar);
+        }
 
         EngineOptions simd_options = scalar_options;
         simd_options.simd = true;
@@ -562,9 +580,9 @@ TEST(SimdKernels, RandomCircuitsBitForBit) {
   }
 }
 
-/// SoA round-trip conversions are exact copies, and a circuit compiled for
-/// the interleaved scalar engine (isa() == Scalar) applied to an SoAState
-/// runs the Scalar SoA tier — bit for bit equal to the interleaved kernels.
+/// SoA round-trip conversions are exact copies: a circuit pinned to the
+/// Scalar tier (isa() == Scalar) gives the same bits applied to a
+/// StateVector (through the scratch SoA copy) as applied to an SoAState.
 TEST(SimdKernels, ScalarTierBitForBitThroughSoA) {
   Rng rng(71);
   circuit::RandomCircuitOptions rc;
