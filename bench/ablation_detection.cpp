@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <iostream>
 #include <span>
+#include <vector>
 
 #include "backend/statevector_backend.hpp"
 #include "circuit/random.hpp"
@@ -34,6 +35,27 @@ struct DetectionStats {
   int tested_generic = 0;
 };
 
+/// The upstream fragment's three setting distributions at `shots` shots
+/// each, on the seed streams execute_chain gives them (base 0). Only
+/// fragment 0's variants run: the detector reads nothing downstream.
+std::vector<std::vector<double>> upstream_distributions(const cutting::FragmentGraph& graph,
+                                                        backend::Backend& backend,
+                                                        std::size_t shots) {
+  cutting::ChainFragmentData data = cutting::make_chain_data(graph);
+  data.shots_per_variant = shots;
+  std::vector<std::vector<double>> upstream;
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    const cutting::FragmentVariantKey key{0, s};
+    const std::uint64_t stream =
+        cutting::fragment_seed_offset(0) + cutting::variant_seed_index(graph, 0, key);
+    cutting::ingest_counts(
+        data, 0, key,
+        backend.run(cutting::make_fragment_variant(graph, 0, key).circuit, shots, stream));
+    upstream.push_back(data.distribution(0, key));
+  }
+  return upstream;
+}
+
 DetectionStats run_detection(std::size_t shots) {
   DetectionStats stats;
 
@@ -47,14 +69,8 @@ DetectionStats run_detection(std::size_t shots) {
     const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
 
     backend::StatevectorBackend backend(2000 + static_cast<std::uint64_t>(i));
-    cutting::ExecutionOptions exec;
-    exec.shots_per_variant = shots;
-    const cutting::ChainFragmentData data = cutting::execute_chain(
-        graph, cutting::ChainNeglectSpec::none(graph), backend, exec);
-    std::vector<std::vector<double>> upstream;
-    for (std::uint32_t s = 0; s < 3; ++s) {
-      upstream.push_back(data.distribution(0, cutting::FragmentVariantKey{0, s}));
-    }
+    const std::vector<std::vector<double>> upstream =
+        upstream_distributions(graph, backend, shots);
     const cutting::GoldenDetectionReport report =
         cutting::detect_golden_from_counts(graph, upstream, shots);
 
@@ -82,14 +98,8 @@ DetectionStats run_detection(std::size_t shots) {
     const cutting::GoldenDetectionReport exact = cutting::detect_golden_exact(graph, 1e-9);
 
     backend::StatevectorBackend backend(4000 + static_cast<std::uint64_t>(i));
-    cutting::ExecutionOptions exec;
-    exec.shots_per_variant = shots;
-    const cutting::ChainFragmentData data = cutting::execute_chain(
-        graph, cutting::ChainNeglectSpec::none(graph), backend, exec);
-    std::vector<std::vector<double>> upstream;
-    for (std::uint32_t s = 0; s < 3; ++s) {
-      upstream.push_back(data.distribution(0, cutting::FragmentVariantKey{0, s}));
-    }
+    const std::vector<std::vector<double>> upstream =
+        upstream_distributions(graph, backend, shots);
     const cutting::GoldenDetectionReport online =
         cutting::detect_golden_from_counts(graph, upstream, shots);
 

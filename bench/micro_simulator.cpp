@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -252,6 +254,7 @@ int main(int argc, char** argv) {
   double simd_speedup = 0.0;
   double simd_diagonal = 0.0, simd_permutation = 0.0, simd_controlled = 0.0;
   double simd_generic_1q = 0.0, simd_generic_2q = 0.0;
+  std::vector<std::pair<std::string, double>> lowest_qubit_series;
   if (simd_available) {
     const sim::CompiledCircuit vectorized = sim::compile_circuit(c, simd_options);
     simd_seconds = median_seconds(kRepeats, [&] {
@@ -273,6 +276,34 @@ int main(int argc, char** argv) {
                                    simd_kernel_options);
     std::printf("micro_simulator: simd (%s) %.4fs -> %.2fx over the Scalar tier\n", isa.c_str(),
                 simd_seconds, simd_speedup);
+
+    // Lowest-qubit series: gates whose lowest qubit lies inside one vector
+    // register (below 3 on AVX-512, 2 on AVX2) take the in-register path,
+    // the rest the contiguous-run path. One dense gate per lowest qubit q on
+    // a 12-qubit state: H on q (generic_1q) and RXX on (q, q+1) (generic_2q).
+    constexpr int kLowWidth = 12;
+    std::printf("micro_simulator: lowest-qubit series, %d qubits (us per gate, "
+                "Scalar tier / %s)\n",
+                kLowWidth, isa.c_str());
+    for (int q = 0; q <= 4; ++q) {
+      circuit::Circuit h(kLowWidth);
+      h.append(circuit::GateKind::H, {q});
+      circuit::Circuit rxx(kLowWidth);
+      rxx.append(circuit::GateKind::RXX, {q, q + 1}, {0.7});
+      const double scalar_1q = time_kernel(h, kernel_options);
+      const double simd_1q = time_kernel(h, simd_kernel_options);
+      const double scalar_2q = time_kernel(rxx, kernel_options);
+      const double simd_2q = time_kernel(rxx, simd_kernel_options);
+      std::printf("  q%d  generic_1q %7.2f / %7.2f -> %5.2fx   generic_2q %7.2f / %7.2f -> "
+                  "%5.2fx\n",
+                  q, scalar_1q * 1e6, simd_1q * 1e6, scalar_1q / simd_1q, scalar_2q * 1e6,
+                  simd_2q * 1e6, scalar_2q / simd_2q);
+      const std::string at = "_q" + std::to_string(q);
+      lowest_qubit_series.push_back({"lowq_generic_1q_scalar_seconds" + at, scalar_1q});
+      lowest_qubit_series.push_back({"lowq_generic_1q_simd_seconds" + at, simd_1q});
+      lowest_qubit_series.push_back({"lowq_generic_2q_scalar_seconds" + at, scalar_2q});
+      lowest_qubit_series.push_back({"lowq_generic_2q_simd_seconds" + at, simd_2q});
+    }
   } else {
     std::printf("micro_simulator: no AVX tier in this build or on this CPU; "
                 "simd_speedup series skipped\n");
@@ -280,9 +311,8 @@ int main(int argc, char** argv) {
 
   std::printf("micro_simulator: %d qubits depth %d, generic %.4fs, engine %.4fs -> %.2fx\n",
               kWidth, kDepth, generic_seconds, engine_seconds, speedup);
-  (void)qcut::bench::write_bench_json(
-      "micro_simulator", engine_seconds, speedup,
-      {{"generic_seconds", generic_seconds},
+  std::vector<std::pair<std::string, double>> extras = {
+      {"generic_seconds", generic_seconds},
        {"engine_seconds", engine_seconds},
        {"circuit_ops", static_cast<double>(c.num_ops())},
        {"fused_gate_fraction", fused_fraction},
@@ -300,8 +330,10 @@ int main(int argc, char** argv) {
        {"simd_speedup_permutation", simd_permutation},
        {"simd_speedup_controlled_1q", simd_controlled},
        {"simd_speedup_generic_1q", simd_generic_1q},
-       {"simd_speedup_generic_2q", simd_generic_2q}},
-      {{"simd_isa", isa}});
+       {"simd_speedup_generic_2q", simd_generic_2q}};
+  extras.insert(extras.end(), lowest_qubit_series.begin(), lowest_qubit_series.end());
+  (void)qcut::bench::write_bench_json("micro_simulator", engine_seconds, speedup, extras,
+                                      {{"simd_isa", isa}});
 
   constexpr double kTargetSpeedup = 2.0;
   if (speedup < kTargetSpeedup) {

@@ -28,15 +28,20 @@ int main() {
   backend::StatevectorBackend backend(99);
 
   for (std::size_t shots : {200ull, 1000ull, 5000ull}) {
-    cutting::ExecutionOptions exec;
-    exec.shots_per_variant = shots;
-    exec.seed_stream_base = shots;  // fresh data per row
-    const cutting::ChainFragmentData data = cutting::execute_chain(
-        graph, cutting::ChainNeglectSpec::none(graph), backend, exec);
-
+    // Only the upstream fragment's three settings are run, on the seed
+    // streams execute_chain would give them (base = shots: fresh data per
+    // row); the detector needs nothing downstream.
+    cutting::ChainFragmentData data = cutting::make_chain_data(graph);
+    data.shots_per_variant = shots;
     std::vector<std::vector<double>> upstream;
     for (std::uint32_t s = 0; s < 3; ++s) {
-      upstream.push_back(data.distribution(0, cutting::FragmentVariantKey{0, s}));
+      const cutting::FragmentVariantKey key{0, s};
+      const std::uint64_t stream = shots + cutting::fragment_seed_offset(0) +
+                                   cutting::variant_seed_index(graph, 0, key);
+      cutting::ingest_counts(
+          data, 0, key,
+          backend.run(cutting::make_fragment_variant(graph, 0, key).circuit, shots, stream));
+      upstream.push_back(data.distribution(0, key));
     }
     const cutting::GoldenDetectionReport report =
         cutting::detect_golden_from_counts(graph, upstream, shots);

@@ -10,6 +10,16 @@
 //            (CMake QCUT_SIMD);
 //   Avx512 — __m512d (8 doubles), built when -mavx512f is accepted.
 //
+// Policy contract. A tier is the template instantiated with a vector-ops
+// policy: a register type `reg` of `width` doubles with load, store, set1,
+// zero, add, sub and mul, each one IEEE operation per lane. The AVX policies
+// add the two bit moves of the in-register path for gates on qubits below
+// log2(width): a fixed lane permute (lane_order + permute; AVX-512
+// permutex2var, AVX2 permutevar8x32) and a lane selection (lane_mask +
+// blend; an AVX-512 mask register, an AVX2 blendv). Neither does
+// arithmetic. No policy has a fused op: an FMA rounds once where the
+// Scalar tier rounds twice.
+//
 // The AVX tiers live in their own translation units with per-source ISA
 // flags, so the rest of the library never emits an instruction the host
 // might lack; best_isa() probes the CPU once at runtime

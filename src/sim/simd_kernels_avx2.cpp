@@ -26,6 +26,27 @@ struct Avx2Vec {
   static reg add(reg a, reg b) noexcept { return _mm256_add_pd(a, b); }
   static reg sub(reg a, reg b) noexcept { return _mm256_sub_pd(a, b); }
   static reg mul(reg a, reg b) noexcept { return _mm256_mul_pd(a, b); }
+
+  /// A fixed lane permute: lane j of permute(a, lane_order(from)) is lane
+  /// from[j] of a. AVX2 permutes doubles across the 128-bit halves only as
+  /// pairs of 32-bit elements.
+  using lanes = __m256i;
+  static lanes lane_order(const int* from) noexcept {
+    return _mm256_setr_epi32(2 * from[0], 2 * from[0] + 1, 2 * from[1], 2 * from[1] + 1,
+                             2 * from[2], 2 * from[2] + 1, 2 * from[3], 2 * from[3] + 1);
+  }
+  static reg permute(reg a, lanes order) noexcept {
+    return _mm256_castps_pd(_mm256_permutevar8x32_ps(_mm256_castpd_ps(a), order));
+  }
+
+  /// A lane selection: blend(lane_mask(bits), a, b) takes lane j of b where
+  /// bit j of `bits` is set and lane j of a elsewhere.
+  using mask = __m256d;
+  static mask lane_mask(unsigned bits) noexcept {
+    const auto lane = [bits](int j) { return (bits >> j & 1u) != 0 ? -1LL : 0LL; };
+    return _mm256_castsi256_pd(_mm256_setr_epi64x(lane(0), lane(1), lane(2), lane(3)));
+  }
+  static reg blend(mask m, reg a, reg b) noexcept { return _mm256_blendv_pd(a, b, m); }
 };
 
 }  // namespace

@@ -26,6 +26,22 @@ struct Avx512Vec {
   static reg add(reg a, reg b) noexcept { return _mm512_add_pd(a, b); }
   static reg sub(reg a, reg b) noexcept { return _mm512_sub_pd(a, b); }
   static reg mul(reg a, reg b) noexcept { return _mm512_mul_pd(a, b); }
+
+  /// A fixed lane permute: lane j of permute(a, lane_order(from)) is lane
+  /// from[j] of a. The two-source permute with `a` as both sources: GCC 12
+  /// warns on the undefined pass-through operand of _mm512_permutexvar_pd.
+  using lanes = __m512i;
+  static lanes lane_order(const int* from) noexcept {
+    return _mm512_set_epi64(from[7], from[6], from[5], from[4], from[3], from[2], from[1],
+                            from[0]);
+  }
+  static reg permute(reg a, lanes order) noexcept { return _mm512_permutex2var_pd(a, order, a); }
+
+  /// A lane selection: blend(lane_mask(bits), a, b) takes lane j of b where
+  /// bit j of `bits` is set and lane j of a elsewhere.
+  using mask = __mmask8;
+  static mask lane_mask(unsigned bits) noexcept { return static_cast<mask>(bits); }
+  static reg blend(mask m, reg a, reg b) noexcept { return _mm512_mask_blend_pd(m, a, b); }
 };
 
 }  // namespace

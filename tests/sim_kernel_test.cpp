@@ -420,12 +420,17 @@ std::vector<std::vector<int>> qubit_orders(int arity, int width, Rng& rng) {
 }
 
 /// The bit-identity matrix: every KernelClass x every kernel table x widths
-/// 1..10 x qubit orders. Each op is applied through the table's kernel in
+/// 1..10 x qubit orders. Each op is applied through the table's kernel three
+/// ways: in one pass over [0, groups); in two chunks split at a lane-aligned
+/// group index (a multiple of 8 groups, whole vectors on every tier); and in
 /// two chunks split at a group index that is not a multiple of any lane
-/// width, so runs shorter than a vector register (gates on qubits 0..2)
-/// and partial runs both take the scalar tails. Results must equal the
-/// Scalar tier applied in one pass bit for bit and the generic apply_matrix
-/// path == (bit for bit for the dense classes).
+/// width. Gates whose lowest qubit indexes lanes inside a vector (qubits 0..2
+/// on AVX-512, 0..1 on AVX2) thus run the in-register path alone, hand off
+/// to the scalar tails at the partial vectors of an unaligned range, and
+/// cover the all-low and mixed low/high qubit orders; gates on higher qubits
+/// run whole and partial contiguous runs. Every result must equal the Scalar
+/// tier applied in one pass bit for bit and the generic apply_matrix path ==
+/// (bit for bit for the dense classes).
 TEST(SimdKernels, BitIdentityMatrix) {
   constexpr std::array<KernelClass, 6> kClasses = {
       KernelClass::Diagonal,  KernelClass::Permutation, KernelClass::Controlled1Q,
@@ -457,20 +462,25 @@ TEST(SimdKernels, BitIdentityMatrix) {
             StateVector generic = input;
             generic.apply_matrix(op.matrix(), op.qubits);
 
-            SoAState soa = SoAState::from_statevector(input);
-            const simd::SoaSpan span{soa.re(), soa.im(), soa.dim()};
             const CompiledOp& cop = compiled.compiled_ops()[0];
-            const index_t groups = simd::group_count(cop, soa.dim());
-            const index_t split = groups / 3 + (groups > 1 ? 1 : 0);
+            const index_t groups = simd::group_count(cop, input.dim());
             const simd::KernelFn fn = table.fns[static_cast<std::size_t>(cls)];
-            fn(span, cop, 0, split);
-            fn(span, cop, split, groups);
-            StateVector vectorized(width);
-            soa.extract_to(vectorized);
+            const index_t aligned_split = groups / 2 / 8 * 8;
+            const index_t unaligned_split = groups / 3 + (groups > 1 ? 1 : 0);
+            for (const index_t split : {groups, aligned_split, unaligned_split}) {
+              SCOPED_TRACE("split at group " + std::to_string(split) + " of " +
+                           std::to_string(groups));
+              SoAState soa = SoAState::from_statevector(input);
+              const simd::SoaSpan span{soa.re(), soa.im(), soa.dim()};
+              fn(span, cop, 0, split);
+              fn(span, cop, split, groups);
+              StateVector vectorized(width);
+              soa.extract_to(vectorized);
 
-            expect_bits_equal(scalar, vectorized);
-            expect_amps_equal(generic, vectorized);
-            if (is_dense(cls)) expect_bits_equal(generic, vectorized);
+              expect_bits_equal(scalar, vectorized);
+              expect_amps_equal(generic, vectorized);
+              if (is_dense(cls)) expect_bits_equal(generic, vectorized);
+            }
             ++cases;
           }
         }

@@ -1,6 +1,6 @@
 // Known-bad: the SIMD pragma/intrinsic surface — every way a kernel could
 // smuggle in reassociation or contraction, which would break the SIMD
-// tiers' bit-for-bit equality with the scalar engine.
+// tiers' bit-for-bit equality with the Scalar tier.
 #include <vector>
 
 namespace fixture_bad_simd_pragmas {

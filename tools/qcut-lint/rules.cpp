@@ -439,17 +439,17 @@ std::vector<Violation> analyze(const std::vector<SourceFile>& files,
           !contains_ci(t.text, "off")) {
         emit(pending, file, t.line, "no-fp-reassociation",
              "'-ffp-contract' other than 'off' licenses FMA contraction per function; "
-             "contracted arithmetic is not bit-for-bit equal to the scalar engine");
+             "contracted arithmetic is not bit-for-bit equal to the Scalar tier");
       }
-      // FMA intrinsics round a*b+c once where the scalar engine rounds
-      // twice. Every SIMD tier is bit-for-bit equal to the scalar kernels,
+      // FMA intrinsics round a*b+c once where the Scalar tier rounds
+      // twice. Every SIMD tier is bit-for-bit equal to the Scalar tier,
       // and no cache identity records an FMA path, so no use is allowed:
       // an allow() annotation does not silence this finding.
       if (t.kind == TokKind::Identifier && is_fma_name(t.text)) {
         emit(pending, file, t.line, "no-fp-reassociation",
              "FMA ('" + t.text +
                  "') fuses multiply-add into one rounding, so the result differs from the "
-                 "scalar engine's; write the multiply and the add separately (no "
+                 "Scalar tier's; write the multiply and the add separately (no "
                  "annotation can allow this)",
              /*suppressible=*/false);
       }
